@@ -119,10 +119,10 @@ class Ch3Channel {
   virtual void reset_channel_stats() {}
 
   /// One-sided RMA accounting hook (mpi::Window): the window's traffic
-  /// rides a dedicated QP mesh, so the op counts are noted into the
-  /// transport's stats rather than observed by its data path.  No-op when
-  /// the implementation keeps no stats.
-  virtual void note_rma(rdmach::RmaOp) {}
+  /// rides a dedicated QP mesh, so its counts (rma_*, obit_fast_fails) are
+  /// noted into the transport's stats rather than observed by its data
+  /// path.  No-op when the implementation keeps no stats.
+  virtual void note_rma(rdmach::StatMember) {}
 };
 
 /// Which CH3 implementation an MPI job runs on.

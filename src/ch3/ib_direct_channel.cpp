@@ -147,8 +147,7 @@ sim::Task<bool> IbDirectChannel::progress_once() {
                           static_cast<std::ptrdiff_t>(i));
     co_await cache_->release(sr.mr);
     sr.req->done = true;
-    ++rndv_write_ops_;
-    rndv_write_bytes_ += sr.len;
+    verbs_->note_rndv_write(sr.len);
     moved = true;
   }
 

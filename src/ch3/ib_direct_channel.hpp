@@ -45,19 +45,12 @@ class IbDirectChannel : public Ch3Channel, private PacketHandler {
   rdmach::RegCache& reg_cache() noexcept { return *cache_; }
 
   /// Slot-ring eager traffic from the verbs member, plus the CH3-level
-  /// write-rendezvous volume this class drives itself.
+  /// write-rendezvous volume this class drives itself (noted on the member).
   rdmach::ChannelStats channel_stats() const override {
-    rdmach::ChannelStats s = verbs_->stats();
-    s.rndv_write.ops += rndv_write_ops_;
-    s.rndv_write.bytes += rndv_write_bytes_;
-    return s;
+    return verbs_->stats();
   }
-  void reset_channel_stats() override {
-    verbs_->reset_stats();
-    rndv_write_ops_ = 0;
-    rndv_write_bytes_ = 0;
-  }
-  void note_rma(rdmach::RmaOp op) override { verbs_->note_rma(op); }
+  void reset_channel_stats() override { verbs_->reset_stats(); }
+  void note_rma(rdmach::StatMember field) override { verbs_->note_rma(field); }
 
  private:
   /// Exposes the protected verbs plumbing of the slot-ring channel that
@@ -69,6 +62,11 @@ class IbDirectChannel : public Ch3Channel, private PacketHandler {
     using rdmach::PipelineChannel::take_completion;
     rdmach::VerbsConnection& vconn(int p) {
       return static_cast<rdmach::VerbsConnection&>(connection(p));
+    }
+    /// Counts one CH3 write rendezvous (ops and bytes; no goodput clock).
+    void note_rndv_write(std::size_t bytes) {
+      ++stats_.rndv_write.ops;
+      stats_.rndv_write.bytes += bytes;
     }
   };
 
@@ -116,8 +114,6 @@ class IbDirectChannel : public Ch3Channel, private PacketHandler {
   std::vector<RecvReady> recv_ready_todo_;
   std::vector<PendingWrite> pending_writes_;
   std::vector<std::uint64_t> fin_done_;
-  std::uint64_t rndv_write_ops_ = 0;
-  std::uint64_t rndv_write_bytes_ = 0;
 };
 
 }  // namespace ch3

@@ -225,8 +225,7 @@ sim::Task<void> Window::put(const void* origin, int count, Datatype d,
                             int target, std::size_t disp) {
   const std::size_t len = static_cast<std::size_t>(count) * datatype_size(d);
   check_range(target, disp, len);
-  ++stats_.puts;
-  note_rma(rdmach::RmaOp::kPut);
+  note_rma(&rdmach::ChannelStats::rma_puts);
   if (target == comm_->rank()) {
     co_await comm_->engine().ctx().node->copy(base_ + disp, origin, len);
     co_return;
@@ -270,8 +269,7 @@ sim::Task<void> Window::get(void* origin, int count, Datatype d, int target,
                             std::size_t disp) {
   const std::size_t len = static_cast<std::size_t>(count) * datatype_size(d);
   check_range(target, disp, len);
-  ++stats_.gets;
-  note_rma(rdmach::RmaOp::kGet);
+  note_rma(&rdmach::ChannelStats::rma_gets);
   if (target == comm_->rank()) {
     co_await comm_->engine().ctx().node->copy(origin, base_ + disp, len);
     co_return;
@@ -352,8 +350,7 @@ sim::Task<void> Window::accumulate(const void* origin, int count, Datatype d,
                                    Op op, int target, std::size_t disp) {
   const std::size_t len = static_cast<std::size_t>(count) * datatype_size(d);
   check_range(target, disp, len);
-  ++stats_.atomics;
-  note_rma(rdmach::RmaOp::kAtomic);
+  note_rma(&rdmach::ChannelStats::rma_atomics);
   if (target == comm_->rank()) {
     // Participate in the same lock protocol as remote origins.  A remote
     // RMW holds our lock word across its read/modify/write; this local
@@ -489,8 +486,7 @@ sim::Task<void> Window::accumulate(const void* origin, int count, Datatype d,
 sim::Task<std::int64_t> Window::fetch_add(int target, std::size_t disp,
                                           std::int64_t value) {
   check_range(target, disp, 8);
-  ++stats_.atomics;
-  note_rma(rdmach::RmaOp::kAtomic);
+  note_rma(&rdmach::ChannelStats::rma_atomics);
   if (target == comm_->rank()) {
     auto* p = reinterpret_cast<std::int64_t*>(base_ + disp);
     const std::int64_t old = *p;
@@ -627,7 +623,7 @@ sim::Task<void> Window::recover(int target) {
   // target, in which case burning our own budget is pointless.
   if (eng.ft_armed() && kvs.obit_version() != 0 && kvs.is_dead(wr)) {
     abandon_target(target);
-    ++stats_.obit_fast_fails;
+    note_rma(&rdmach::ChannelStats::obit_fast_fails);
     throw ProcFailedError(wr, "one-sided peer (world rank " +
                                   std::to_string(wr) +
                                   ") has a published obituary");
@@ -733,8 +729,7 @@ void Window::throw_dead(int target, const char* stage) {
 // ---- epochs -----------------------------------------------------------------
 
 sim::Task<void> Window::flush(int target) {
-  ++stats_.flushes;
-  note_rma(rdmach::RmaOp::kFlush);
+  note_rma(&rdmach::ChannelStats::rma_flushes);
   if (target == comm_->rank()) co_return;  // self ops complete synchronously
   ft_entry(target);
   co_await drain_target(target);
@@ -742,8 +737,7 @@ sim::Task<void> Window::flush(int target) {
 }
 
 sim::Task<void> Window::flush_all() {
-  ++stats_.flushes;
-  note_rma(rdmach::RmaOp::kFlush);
+  note_rma(&rdmach::ChannelStats::rma_flushes);
   for (int r = 0; r < static_cast<int>(peers_.size()); ++r) {
     if (peers_[static_cast<std::size_t>(r)].outstanding > 0) ft_entry(r);
   }
@@ -779,15 +773,15 @@ void Window::ft_entry(int target) {
   if (kvs.obit_version() == 0) return;
   const int wr = comm_->world_rank(target);
   if (kvs.is_dead(wr)) {
-    ++stats_.obit_fast_fails;
+    note_rma(&rdmach::ChannelStats::obit_fast_fails);
     throw ProcFailedError(
         wr, "one-sided operation toward dead rank (world " +
                 std::to_string(wr) + ")");
   }
 }
 
-void Window::note_rma(rdmach::RmaOp op) {
-  comm_->engine().channel().note_rma(op);
+void Window::note_rma(rdmach::StatMember counter) {
+  comm_->engine().channel().note_rma(counter);
 }
 
 }  // namespace mpi

@@ -165,16 +165,11 @@ class Window {
 
   /// Window-local observability (tests and benches).
   struct Stats {
-    std::uint64_t puts = 0;
-    std::uint64_t gets = 0;
-    std::uint64_t atomics = 0;
-    std::uint64_t flushes = 0;
     std::uint64_t inline_puts = 0;    // staged through the inline ring
     std::uint64_t replays = 0;        // journal entries re-posted
     std::uint64_t replayed_bytes = 0;
     std::uint64_t recoveries = 0;     // QP reset cycles completed
     std::uint64_t lock_spins = 0;     // accumulate CAS retries
-    std::uint64_t obit_fast_fails = 0;
   };
   const Stats& stats() const noexcept { return stats_; }
 
@@ -250,7 +245,7 @@ class Window {
   /// armed and the target has a published obituary.  Pure KVS lookup, so
   /// fault-free traces are unchanged.
   void ft_entry(int target);
-  void note_rma(rdmach::RmaOp op);
+  void note_rma(rdmach::StatMember counter);
 
   void check_range(int target, std::size_t disp, std::size_t len) const;
 

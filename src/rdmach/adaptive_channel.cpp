@@ -536,8 +536,8 @@ sim::Task<void> AdaptiveChannel::handle_ack(AdaptiveConnection& c,
   const double elapsed =
       static_cast<double>(ctx_->sim().now() - r.start) / sim::usec(1);
   sel_.record(r.proto, r.len, r.len, elapsed, r.conc);
-  note(r.proto == ProtocolSelector::Proto::kRead ? rndv_read_track_
-                                                 : rndv_write_track_,
+  note(r.proto == ProtocolSelector::Proto::kRead ? stats_.rndv_read
+                                                 : stats_.rndv_write,
        r.len);
   // Write rendezvous never pass through harvest_chunks, so the ack is the
   // only point the sender can clock the rail that carried the rounds.  The
@@ -636,7 +636,7 @@ sim::Task<std::size_t> AdaptiveChannel::engine(AdaptiveConnection& c,
       // pipelined copy path, and teach the selector the penalty -- an
       // uncached bus-speed pass over the buffer -- so it stops preferring
       // a protocol the HCA cannot currently serve.
-      ++reg_fallbacks_;
+      ++stats_.reg_fallbacks;
       const ib::FabricConfig& f = ctx_->fabric().cfg();
       sel_.record(proto, big.len, big.len,
                   static_cast<double>(big.len) /
@@ -820,7 +820,7 @@ sim::Task<void> AdaptiveChannel::progress_inbound(AdaptiveConnection& c,
         if (refused) {
           // Transient pin-down exhaustion: stop issuing and retry on a
           // later pass (the wakeup keeps pollers from parking).
-          ++reg_fallbacks_;
+          ++stats_.reg_fallbacks;
           schedule_retry_wakeup();
           break;
         }
@@ -845,7 +845,7 @@ sim::Task<void> AdaptiveChannel::progress_inbound(AdaptiveConnection& c,
           refused = true;  // co_await is illegal in a handler; flag and go
         }
         if (refused) {
-          ++reg_fallbacks_;
+          ++stats_.reg_fallbacks;
           schedule_retry_wakeup();
         } else {
           AdaptiveCts cts{r.token, reinterpret_cast<std::uint64_t>(piece.base),
@@ -1104,9 +1104,9 @@ sim::Task<void> AdaptiveChannel::replay(VerbsConnection& conn,
         ch.qp = nq;
       }
       post_chunk_read(c, r, ch);
-      ++rndv_read_track_.retries;
-      ++retransmits_;
-      replayed_bytes_ += m;
+      ++stats_.rndv_read.retries;
+      ++stats_.retransmits;
+      stats_.replayed_bytes += m;
     }
   }
 
@@ -1151,9 +1151,9 @@ sim::Task<void> AdaptiveChannel::replay(VerbsConnection& conn,
         c.r_fin_addr + fs * 2 * sizeof(std::uint64_t),
         c.r_fin_rkey,
         /*signaled=*/false});
-    ++rndv_write_track_.retries;
-    retransmits_ += 2;
-    replayed_bytes_ += m;
+    ++stats_.rndv_write.retries;
+    stats_.retransmits += 2;
+    stats_.replayed_bytes += m;
   }
 }
 

@@ -1,5 +1,6 @@
 #include "rdmach/channel.hpp"
 
+#include <iterator>
 #include <stdexcept>
 
 #include "rdmach/adaptive_channel.hpp"
@@ -59,27 +60,35 @@ sim::Task<void> Channel::pre_progress() {
   co_return;  // dense designs have no out-of-band service work
 }
 
-ChannelStats Channel::stats() const {
-  ChannelStats s;
-  s.eager = snapshot(eager_track_);
-  s.rndv_write = snapshot(rndv_write_track_);
-  s.rndv_read = snapshot(rndv_read_track_);
-  s.eager_threshold = cfg_.zero_copy_threshold;
-  s.rma_puts = rma_puts_;
-  s.rma_gets = rma_gets_;
-  s.rma_atomics = rma_atomics_;
-  s.rma_flushes = rma_flushes_;
-  return s;
+// A scalar field missing from kChannelStatFields would be neither merged
+// nor reset: every one must have its row.
+static_assert(sizeof(ChannelStats) ==
+              3 * sizeof(ProtoStats) + sizeof(ChannelStats::rails) +
+                  std::size(kChannelStatFields) * sizeof(std::uint64_t));
+
+void ChannelStats::merge(const ChannelStats& o) {
+  for (const StatField& f : kChannelStatFields) {
+    std::uint64_t& v = this->*f.member;
+    const std::uint64_t w = o.*f.member;
+    v = f.kind == StatKind::kMaxGauge ? std::max(v, w) : v + w;
+  }
+  eager.merge(o.eager);
+  rndv_write.merge(o.rndv_write);
+  rndv_read.merge(o.rndv_read);
+  if (o.rails.size() > rails.size()) rails.resize(o.rails.size());
+  for (std::size_t i = 0; i < o.rails.size(); ++i) {
+    rails[i].bytes += o.rails[i].bytes;
+    rails[i].stripes += o.rails[i].stripes;
+    rails[i].failovers += o.rails[i].failovers;
+  }
 }
 
 void Channel::reset_stats() {
-  eager_track_ = ProtoTrack{};
-  rndv_write_track_ = ProtoTrack{};
-  rndv_read_track_ = ProtoTrack{};
-  rma_puts_ = 0;
-  rma_gets_ = 0;
-  rma_atomics_ = 0;
-  rma_flushes_ = 0;
+  for (const StatField& f : kChannelStatFields) {
+    if (f.kind == StatKind::kCounter) stats_.*f.member = 0;
+  }
+  stats_.eager = stats_.rndv_write = stats_.rndv_read = ProtoStats{};
+  for (ChannelStats::RailStats& r : stats_.rails) r = {};
 }
 
 std::string ChannelError::to_string() const {

@@ -28,12 +28,14 @@
 // progress, preserving the paper's nonblocking contract.
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <memory>
 #include <span>
 #include <stdexcept>
 #include <string>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -253,10 +255,20 @@ struct ProtoStats {
   /// Observed goodput (MB/s, MB = 1e6 B): selector EWMA for the rendezvous
   /// protocols of the adaptive design, bytes-over-active-interval elsewhere.
   double mbps = 0.0;
+
+  /// Counts add; goodput takes the busier side's figure.
+  void merge(const ProtoStats& o) {
+    ops += o.ops;
+    bytes += o.bytes;
+    retries += o.retries;
+    mbps = std::max(mbps, o.mbps);
+  }
 };
 
 /// Snapshot of a channel's protocol decisions and per-protocol traffic;
-/// benches and tests read it through Channel::stats().
+/// benches and tests read it through Channel::stats().  Every scalar field
+/// has one row in kChannelStatFields below, which says how merge() and
+/// Channel::reset_stats() treat it.
 struct ChannelStats {
   ProtoStats eager;
   ProtoStats rndv_write;
@@ -351,10 +363,69 @@ struct ChannelStats {
   std::uint64_t rma_gets = 0;
   std::uint64_t rma_atomics = 0;
   std::uint64_t rma_flushes = 0;
+
+  /// Folds `o` in: each table row by its kind, the per-protocol figures
+  /// through ProtoStats::merge, and rails[] element by element.  How a
+  /// facade sums its members and a campaign sums its ranks.
+  void merge(const ChannelStats& o);
 };
 
-/// One-sided operation classes for Channel::note_rma / ChannelStats.
-enum class RmaOp { kPut, kGet, kAtomic, kFlush };
+/// How ChannelStats::merge and Channel::reset_stats treat a scalar field.
+enum class StatKind {
+  kCounter,   // monotone event count: summed, zeroed by reset
+  kMaxGauge,  // level or bound: the largest member's value, kept by reset
+  kSumGauge,  // level: summed across members, kept by reset
+};
+
+/// A scalar ChannelStats field.
+using StatMember = std::uint64_t ChannelStats::*;
+
+/// One row of the ChannelStats field table.
+struct StatField {
+  const char* name;
+  StatMember member;
+  StatKind kind;
+};
+
+// The std::size_t gauges share the counters' member-pointer type.
+static_assert(std::is_same_v<std::size_t, std::uint64_t>);
+
+/// Every scalar ChannelStats field, once, in declaration order.  A new
+/// counter is one field in the struct plus one row here.
+inline constexpr StatField kChannelStatFields[] = {
+    {"recoveries", &ChannelStats::recoveries, StatKind::kCounter},
+    {"crc_failures", &ChannelStats::crc_failures, StatKind::kCounter},
+    {"retransmits", &ChannelStats::retransmits, StatKind::kCounter},
+    {"reg_fallbacks", &ChannelStats::reg_fallbacks, StatKind::kCounter},
+    {"cq_overruns", &ChannelStats::cq_overruns, StatKind::kCounter},
+    {"credit_stalls", &ChannelStats::credit_stalls, StatKind::kCounter},
+    {"watchdog_trips", &ChannelStats::watchdog_trips, StatKind::kCounter},
+    {"replayed_bytes", &ChannelStats::replayed_bytes, StatKind::kCounter},
+    {"eager_threshold", &ChannelStats::eager_threshold, StatKind::kMaxGauge},
+    {"write_read_crossover", &ChannelStats::write_read_crossover,
+     StatKind::kMaxGauge},
+    {"rail_failovers", &ChannelStats::rail_failovers, StatKind::kCounter},
+    {"rail_quarantines", &ChannelStats::rail_quarantines, StatKind::kCounter},
+    {"rail_reinstates", &ChannelStats::rail_reinstates, StatKind::kCounter},
+    {"suspicion_trips", &ChannelStats::suspicion_trips, StatKind::kCounter},
+    {"false_suspicions", &ChannelStats::false_suspicions, StatKind::kCounter},
+    {"degraded_ns", &ChannelStats::degraded_ns, StatKind::kCounter},
+    {"qps_created", &ChannelStats::qps_created, StatKind::kCounter},
+    {"qps_evicted", &ChannelStats::qps_evicted, StatKind::kCounter},
+    {"connects_on_demand", &ChannelStats::connects_on_demand,
+     StatKind::kCounter},
+    {"srq_pool_high_water", &ChannelStats::srq_pool_high_water,
+     StatKind::kMaxGauge},
+    {"resident_bytes", &ChannelStats::resident_bytes, StatKind::kSumGauge},
+    {"qps_live", &ChannelStats::qps_live, StatKind::kSumGauge},
+    {"qp_thrash", &ChannelStats::qp_thrash, StatKind::kCounter},
+    {"obits_posted", &ChannelStats::obits_posted, StatKind::kCounter},
+    {"obit_fast_fails", &ChannelStats::obit_fast_fails, StatKind::kCounter},
+    {"rma_puts", &ChannelStats::rma_puts, StatKind::kCounter},
+    {"rma_gets", &ChannelStats::rma_gets, StatKind::kCounter},
+    {"rma_atomics", &ChannelStats::rma_atomics, StatKind::kCounter},
+    {"rma_flushes", &ChannelStats::rma_flushes, StatKind::kCounter},
+};
 
 /// Diagnostic state of a recovery episode at the moment it was given up,
 /// attached to the ChannelError so a failed NAS run (or chaos soak) reports
@@ -495,25 +566,20 @@ class Channel {
                                       std::span<const Iov> sink);
 
   /// Snapshot of protocol decisions and per-protocol traffic counters.
-  virtual ChannelStats stats() const;
+  virtual ChannelStats stats() const { return stats_; }
 
   /// Zeroes every counter behind stats() so per-run deltas are exact --
   /// call it after init() (bootstrap traffic excluded) or between phases
   /// that must be accounted separately.  Monotone-counter semantics resume
-  /// from zero; connection/protocol *state* is untouched.
+  /// from zero (counter rows, per-protocol and per-rail figures); gauges
+  /// and connection/protocol *state* are untouched.
   virtual void reset_stats();
 
   /// One-sided RMA accounting (mpi::Window): the window moves its traffic
-  /// over a dedicated QP mesh, so the op counts are *noted* here rather
-  /// than observed by put/get, and surface through stats().
-  virtual void note_rma(RmaOp op) {
-    switch (op) {
-      case RmaOp::kPut: ++rma_puts_; break;
-      case RmaOp::kGet: ++rma_gets_; break;
-      case RmaOp::kAtomic: ++rma_atomics_; break;
-      case RmaOp::kFlush: ++rma_flushes_; break;
-    }
-  }
+  /// over a dedicated QP mesh, so its op counts (rma_*) and obituary
+  /// fast-fails are *noted* here rather than observed by put/get, and
+  /// surface through stats().
+  virtual void note_rma(StatMember counter) { ++(stats_.*counter); }
 
   // ---- conveniences -------------------------------------------------------
   // Coroutines (not plain forwarders) so the iov lives in the frame for the
@@ -554,42 +620,30 @@ class Channel {
 
  protected:
   Channel(pmi::Context& ctx, const ChannelConfig& cfg)
-      : ctx_(&ctx), cfg_(cfg) {}
-
-  /// Raw per-protocol accounting behind stats(); note() records an op and
-  /// the active interval used to derive an aggregate MB/s.
-  struct ProtoTrack {
-    std::uint64_t ops = 0;
-    std::uint64_t bytes = 0;
-    std::uint64_t retries = 0;
-    sim::Tick first = 0;
-    sim::Tick last = 0;
-  };
-  void note(ProtoTrack& t, std::size_t bytes) {
-    const sim::Tick now = ctx_->sim().now();
-    if (t.ops == 0) t.first = now;
-    t.last = now;
-    ++t.ops;
-    t.bytes += bytes;
+      : ctx_(&ctx), cfg_(cfg) {
+    stats_.eager_threshold = cfg.zero_copy_threshold;
   }
-  static ProtoStats snapshot(const ProtoTrack& t) {
-    ProtoStats s{t.ops, t.bytes, t.retries, 0.0};
-    if (t.last > t.first && t.bytes > 0) {
-      s.mbps = static_cast<double>(t.bytes) /
-               (static_cast<double>(t.last - t.first) / sim::usec(1));
+
+  /// Records one `bytes`-sized op on `p` (one of stats_'s protocols) and
+  /// refreshes its MB/s over the protocol's active interval.
+  void note(ProtoStats& p, std::size_t bytes) {
+    const sim::Tick now = ctx_->sim().now();
+    const int i = &p == &stats_.eager ? 0 : &p == &stats_.rndv_write ? 1 : 2;
+    sim::Tick& first = proto_first_[i];
+    if (p.ops++ == 0) first = now;
+    p.bytes += bytes;
+    if (now > first && p.bytes > 0) {
+      p.mbps = static_cast<double>(p.bytes) / sim::to_usec(now - first);
     }
-    return s;
   }
 
   pmi::Context* ctx_;
   ChannelConfig cfg_;
-  ProtoTrack eager_track_;
-  ProtoTrack rndv_write_track_;
-  ProtoTrack rndv_read_track_;
-  std::uint64_t rma_puts_ = 0;
-  std::uint64_t rma_gets_ = 0;
-  std::uint64_t rma_atomics_ = 0;
-  std::uint64_t rma_flushes_ = 0;
+  /// The live counters; designs increment fields in place.
+  ChannelStats stats_;
+  /// First op of each protocol's active interval (eager, rndv_write,
+  /// rndv_read) since the last reset.
+  sim::Tick proto_first_[3] = {};
 };
 
 }  // namespace rdmach

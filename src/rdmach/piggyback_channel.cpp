@@ -181,7 +181,7 @@ sim::Task<std::size_t> PiggybackChannel::put(Connection& conn,
     post_ring_write(c, p.off, p.bytes, p.off, /*signaled=*/false,
                     next_wr_id());
   }
-  if (accepted > 0) note(eager_track_, accepted);
+  if (accepted > 0) note(stats_.eager, accepted);
   co_return accepted;
 }
 
@@ -245,8 +245,8 @@ sim::Task<void> PiggybackChannel::replay(VerbsConnection& conn,
     const std::size_t slot_bytes = sizeof(SlotHeader) + hdr.payload_len + 4;
     post_ring_write(c, ring_off, slot_bytes, ring_off, /*signaled=*/false,
                     next_wr_id());
-    ++retransmits_;
-    replayed_bytes_ += slot_bytes;
+    ++stats_.retransmits;
+    stats_.replayed_bytes += slot_bytes;
   }
   co_return;
 }

@@ -71,7 +71,7 @@ sim::Task<std::size_t> ShmChannel::put(Connection& conn,
   }
   r.head += accepted;
   c.peer_chan->activity_.fire();
-  note(eager_track_, accepted);
+  note(stats_.eager, accepted);
   co_return accepted;
 }
 

@@ -105,15 +105,9 @@ RunResult run_stream(rdmach::Design design, const Traffic& traffic,
   sim.run_until(kDeadline);
   for (int r = 0; r < 2; ++r) {
     if (ch[r] == nullptr) continue;
-    const rdmach::ChannelStats t = ch[r]->stats();
-    rr.recoveries += t.recoveries;
-    rr.stats.recoveries += t.recoveries;
-    rr.stats.crc_failures += t.crc_failures;
-    rr.stats.retransmits += t.retransmits;
-    rr.stats.reg_fallbacks += t.reg_fallbacks;
-    rr.stats.cq_overruns += t.cq_overruns;
-    rr.stats.credit_stalls += t.credit_stalls;
+    rr.stats.merge(ch[r]->stats());
   }
+  rr.recoveries = rr.stats.recoveries;
   if (plan != nullptr) rr.faults = plan->schedule.killed();
   return rr;
 }

@@ -276,11 +276,7 @@ struct RunResult {
 };
 
 std::uint64_t recoveries_of(rdmach::Channel* ch) {
-  if (auto* mm = dynamic_cast<rdmach::MultiMethodChannel*>(ch)) {
-    ch = mm->net();
-  }
-  auto* vb = dynamic_cast<rdmach::VerbsChannelBase*>(ch);
-  return vb != nullptr ? vb->recoveries() : 0;
+  return ch != nullptr ? ch->stats().recoveries : 0;
 }
 
 /// Streams `traffic` rank0 -> rank1 under `plan`'s fault schedule, then a

@@ -3,6 +3,8 @@
 // channel interface and one MPI stack.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
 #include <vector>
 
 #include "channel_test_util.hpp"
@@ -16,6 +18,7 @@
 namespace rdmach {
 namespace {
 
+using testutil::FaultPlan;
 using testutil::recv_all;
 using testutil::send_all;
 
@@ -199,6 +202,160 @@ TEST(MultiMethod, NasKernelRunsOnSmpLayout) {
   });
   sim.run();
   EXPECT_TRUE(verified);
+}
+
+TEST(MultiMethod, FacadeReportsMemberObituaryCounters) {
+  // Node 1 (ranks 2 and 3; rank death is node-scoped) dies right after
+  // init.  Rank 0 pays the conviction cost against rank 3 and posts the
+  // obituary; rank 1 waits for it and then fails fast.  Both are counted
+  // in the net member, and the facade must report them.
+  FaultPlan plan;
+  ChannelConfig cfg;
+  cfg.design = Design::kMultiMethod;
+  cfg.lazy_connect = true;
+  cfg.recovery_max_attempts = 3;
+  cfg.ft_detector = true;
+  sim::Simulator sim;
+  ib::Fabric fabric{sim};
+  fabric.attach_faults(&plan.schedule);
+  pmi::Job job{fabric, 4, 2};
+  std::vector<std::unique_ptr<Channel>> chans(4);
+  bool errored[2] = {false, false};
+  job.launch([&](pmi::Context& ctx) -> sim::Task<void> {
+    chans[ctx.rank] = Channel::create(ctx, cfg);
+    Channel& ch = *chans[ctx.rank];
+    co_await ch.init();
+    if (ctx.rank >= 2) {
+      plan.schedule.rank_down("node1");
+      co_return;
+    }
+    if (ctx.rank == 1) {
+      const std::string posted = co_await ctx.kvs->get("ft:dead:3");
+      (void)posted;
+    }
+    try {
+      const std::byte probe{0x5a};
+      co_await send_all(ch, ch.connection(3), &probe, 1);
+    } catch (const ChannelError&) {
+      errored[ctx.rank] = true;
+    }
+  });
+  sim.run_until(sim::usec(30'000'000));
+
+  std::uint64_t obits = 0, fast_fails = 0;
+  for (int r = 0; r < 2; ++r) {
+    EXPECT_TRUE(errored[r]) << "rank " << r;
+    const auto& mm = static_cast<const MultiMethodChannel&>(*chans[r]);
+    const ChannelStats facade = mm.stats();
+    const ChannelStats shm = mm.shm()->stats();
+    const ChannelStats net = mm.net()->stats();
+    // Row by row, the facade is the fold of its members (its own
+    // counters stay zero here).
+    for (const StatField& f : kChannelStatFields) {
+      const std::uint64_t x = shm.*f.member, y = net.*f.member;
+      EXPECT_EQ(facade.*f.member,
+                f.kind == StatKind::kMaxGauge ? std::max(x, y) : x + y)
+          << "rank " << r << ": " << f.name;
+    }
+    obits += facade.obits_posted;
+    fast_fails += facade.obit_fast_fails;
+  }
+  EXPECT_GE(obits, 1u);
+  EXPECT_GE(fast_fails, 1u);
+}
+
+TEST(ChannelStatsTable, MergeFollowsEachRowKind) {
+  // Distinct values per row and side; the larger side alternates so a
+  // max-gauge merged as a sum (or the reverse) cannot pass.
+  ChannelStats a, b;
+  std::uint64_t i = 0;
+  for (const StatField& f : kChannelStatFields) {
+    a.*f.member = 1000 + i;
+    b.*f.member = i % 2 == 0 ? 2000 + i : 500 + i;
+    ++i;
+  }
+  a.eager = {1, 2, 3, 4.0};
+  b.eager = {10, 20, 30, 1.5};
+  b.rndv_read = {5, 6, 7, 8.0};
+  a.rails = {{1, 2, 3}};
+  b.rails = {{10, 20, 30}, {40, 50, 60}};
+  ChannelStats m = a;
+  m.merge(b);
+  for (const StatField& f : kChannelStatFields) {
+    const std::uint64_t x = a.*f.member, y = b.*f.member;
+    EXPECT_EQ(m.*f.member,
+              f.kind == StatKind::kMaxGauge ? std::max(x, y) : x + y)
+        << f.name;
+  }
+  EXPECT_EQ(m.eager.ops, 11u);
+  EXPECT_EQ(m.eager.bytes, 22u);
+  EXPECT_EQ(m.eager.retries, 33u);
+  EXPECT_EQ(m.eager.mbps, 4.0);
+  EXPECT_EQ(m.rndv_read.ops, 5u);
+  EXPECT_EQ(m.rndv_read.mbps, 8.0);
+  ASSERT_EQ(m.rails.size(), 2u);
+  EXPECT_EQ(m.rails[0].bytes, 11u);
+  EXPECT_EQ(m.rails[0].stripes, 22u);
+  EXPECT_EQ(m.rails[0].failovers, 33u);
+  EXPECT_EQ(m.rails[1].bytes, 40u);
+}
+
+TEST(ChannelStatsTable, ResetZeroesCountersAndKeepsGauges) {
+  // A multi-method facade with lazy connect and a shared receive pool, so
+  // every gauge kind is live; after local, cross-node and one-sided
+  // traffic, reset_stats() must zero each counter row and leave each
+  // gauge row as it was.
+  sim::Simulator sim;
+  ib::Fabric fabric(sim);
+  pmi::Job job(fabric, 4, 2);
+  ChannelConfig cfg;
+  cfg.design = Design::kMultiMethod;
+  cfg.lazy_connect = true;
+  cfg.srq_pool_rings = 2;
+  std::vector<std::unique_ptr<Channel>> chans(4);
+  bool checked = false;
+  job.launch([&](pmi::Context& ctx) -> sim::Task<void> {
+    chans[ctx.rank] = Channel::create(ctx, cfg);
+    Channel& ch = *chans[ctx.rank];
+    co_await ch.init();
+    std::vector<std::byte> small(4096), large(256 * 1024);
+    if (ctx.rank == 0) {
+      co_await send_all(ch, ch.connection(1), small.data(), small.size());
+      co_await send_all(ch, ch.connection(2), large.data(), large.size());
+      ch.note_rma(&ChannelStats::rma_puts);
+      const ChannelStats before = ch.stats();
+      EXPECT_GT(before.eager.ops, 0u);
+      EXPECT_GT(before.rndv_read.ops, 0u);
+      EXPECT_GT(before.connects_on_demand, 0u);
+      EXPECT_GT(before.rma_puts, 0u);
+      EXPECT_GT(before.qps_live, 0u);
+      EXPECT_GT(before.srq_pool_high_water, 0u);
+      ch.reset_stats();
+      const ChannelStats after = ch.stats();
+      for (const StatField& f : kChannelStatFields) {
+        EXPECT_EQ(after.*f.member,
+                  f.kind == StatKind::kCounter ? 0u : before.*f.member)
+            << f.name;
+      }
+      for (const ProtoStats& p : {after.eager, after.rndv_write,
+                                  after.rndv_read}) {
+        EXPECT_EQ(p.ops + p.bytes + p.retries, 0u);
+        EXPECT_EQ(p.mbps, 0.0);
+      }
+      EXPECT_EQ(after.rails.size(), before.rails.size());
+      for (const ChannelStats::RailStats& r : after.rails) {
+        EXPECT_EQ(r.bytes + r.stripes + r.failovers, 0u);
+      }
+      checked = true;
+    } else if (ctx.rank == 1) {
+      co_await recv_all(ch, ch.connection(0), small.data(), small.size());
+    } else if (ctx.rank == 2) {
+      co_await recv_all(ch, ch.connection(0), large.data(), large.size());
+    }
+    co_await ch.finalize();
+  });
+  sim.run();
+  EXPECT_TRUE(checked);
 }
 
 }  // namespace

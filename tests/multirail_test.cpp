@@ -120,19 +120,14 @@ RunResult run_stream(const ib::FabricConfig& fcfg, const Traffic& traffic,
     }
   });
   sim.run_until(kDeadline);
+  rdmach::ChannelStats sum;
   for (int r = 0; r < 2; ++r) {
-    if (ch[r] == nullptr) continue;
-    const rdmach::ChannelStats t = ch[r]->stats();
-    rr.recoveries += t.recoveries;
-    rr.retransmits += t.retransmits;
-    rr.rail_failovers += t.rail_failovers;
-    if (t.rails.size() > rr.rails.size()) rr.rails.resize(t.rails.size());
-    for (std::size_t i = 0; i < t.rails.size(); ++i) {
-      rr.rails[i].bytes += t.rails[i].bytes;
-      rr.rails[i].stripes += t.rails[i].stripes;
-      rr.rails[i].failovers += t.rails[i].failovers;
-    }
+    if (ch[r] != nullptr) sum.merge(ch[r]->stats());
   }
+  rr.recoveries = sum.recoveries;
+  rr.retransmits = sum.retransmits;
+  rr.rail_failovers = sum.rail_failovers;
+  rr.rails = sum.rails;
   return rr;
 }
 

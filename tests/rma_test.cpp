@@ -534,7 +534,8 @@ TEST(RmaFault, RmaToDeadRankFailsFastUnderFtDetector) {
         fast_failed[0] = true;
         EXPECT_EQ(e.world_rank(), 3);
       }
-      fast_fail_count = win->stats().obit_fast_fails;
+      fast_fail_count =
+          rt.engine().channel().channel_stats().obit_fast_fails;
     } else {
       // Enter only once the obituary is on the board, so the error comes
       // from the uniform entry check.
@@ -601,7 +602,7 @@ TEST(RmaStats, FacadeCountsAndResets) {
       EXPECT_EQ(zero.rma_atomics, 0u);
       EXPECT_EQ(zero.rma_flushes, 0u);
 
-      rt.engine().channel().note_rma(rdmach::RmaOp::kPut);
+      rt.engine().channel().note_rma(&rdmach::ChannelStats::rma_puts);
       EXPECT_EQ(rt.engine().channel().channel_stats().rma_puts, 1u);
       checked = true;
     }
