@@ -4,6 +4,9 @@
 // sanity of the NAS random-number generator.
 #include <gtest/gtest.h>
 
+#include <ostream>
+#include <string>
+
 #include "ib/fabric.hpp"
 #include "mpi/runtime.hpp"
 #include "nas/nas.hpp"
@@ -69,6 +72,15 @@ struct KernelParam {
   int nprocs;
 };
 
+std::string label(const KernelParam& p) {
+  return std::string(p.name) + "_p" + std::to_string(p.nprocs);
+}
+
+// Print the parameter by value: gtest's default dumps the struct's bytes,
+// which include the address of `name` and so change from run to run (and
+// with them the test names ctest discovers).
+void PrintTo(const KernelParam& p, std::ostream* os) { *os << label(p); }
+
 class KernelTest : public ::testing::TestWithParam<KernelParam> {};
 
 INSTANTIATE_TEST_SUITE_P(
@@ -81,10 +93,7 @@ INSTANTIATE_TEST_SUITE_P(
                       KernelParam{"cg", 2}, KernelParam{"mg", 2},
                       KernelParam{"ft", 2}, KernelParam{"lu", 2},
                       KernelParam{"sp", 2}, KernelParam{"bt", 2}),
-    [](const auto& info) {
-      return std::string(info.param.name) + "_p" +
-             std::to_string(info.param.nprocs);
-    });
+    [](const auto& info) { return label(info.param); });
 
 TEST_P(KernelTest, VerifiesOnZeroCopyStack) {
   const Result r = run_kernel(
