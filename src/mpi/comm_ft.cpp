@@ -119,9 +119,10 @@ sim::Task<std::string> Communicator::ft_decide(std::string base,
       pmi::wake_all_ranks(eng_->ctx());
     }
     const int leader_world = world_rank(leader);
-    const auto got = co_await kvs.get_unless_before(
-        key, dead_key(leader_world), eng_->ctx().sim().now() + kFtDeadline);
-    if (got) co_return *got;
+    const std::string dkey = dead_key(leader_world);
+    co_await kvs.wait([&] { return kvs.has(key); },
+                      [&] { return kvs.has(dkey); },
+                      eng_->ctx().sim().now() + kFtDeadline);
     if (const std::string* v = kvs.find(key)) co_return *v;
     // No decision: either the leader's obituary aborted the wait (next live
     // member takes over on the next pass) or the leader went silent past
@@ -155,9 +156,11 @@ sim::Task<int> Communicator::agree(int flag) {
     const int w = world_rank(r);
     if (kvs.is_dead(w)) continue;
     const std::string ckey = base + ":c:" + std::to_string(r);
-    const auto got = co_await kvs.get_unless_before(
-        ckey, dead_key(w), eng_->ctx().sim().now() + kFtDeadline);
-    if (got || kvs.has(ckey) || kvs.is_dead(w)) continue;
+    const std::string dkey = dead_key(w);
+    co_await kvs.wait([&] { return kvs.has(ckey); },
+                      [&] { return kvs.has(dkey); },
+                      eng_->ctx().sim().now() + kFtDeadline);
+    if (kvs.has(ckey) || kvs.is_dead(w)) continue;
     if (kvs.post_obit(w)) pmi::wake_all_ranks(eng_->ctx());
   }
 
@@ -202,9 +205,11 @@ sim::Task<Communicator*> Communicator::shrink() {
     const int w = world_rank(r);
     if (kvs.is_dead(w)) continue;
     const std::string ckey = base + ":c:" + std::to_string(r);
-    const auto got = co_await kvs.get_unless_before(
-        ckey, dead_key(w), eng_->ctx().sim().now() + kFtDeadline);
-    if (got || kvs.has(ckey) || kvs.is_dead(w)) continue;
+    const std::string dkey = dead_key(w);
+    co_await kvs.wait([&] { return kvs.has(ckey); },
+                      [&] { return kvs.has(dkey); },
+                      eng_->ctx().sim().now() + kFtDeadline);
+    if (kvs.has(ckey) || kvs.is_dead(w)) continue;
     if (kvs.post_obit(w)) pmi::wake_all_ranks(eng_->ctx());
   }
 

@@ -7,13 +7,14 @@
 // starts one process per node -- against the simulated cluster.
 #pragma once
 
+#include <compare>
 #include <cstdint>
 #include <deque>
 #include <functional>
 #include <map>
-#include <optional>
 #include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "ib/fabric.hpp"
@@ -22,11 +23,59 @@
 
 namespace pmi {
 
+/// Outcome of Kvs::wait: the awaited record appeared, the peer's dead
+/// marker appeared first, or the deadline passed with neither.
+enum class WaitOutcome { kPublished, kPeerDead, kDeadline };
+
+/// One side's endpoint for a connection: what its peer needs to address
+/// the receive ring and control block and to connect the QPs.  Eager
+/// bootstrap posts generation 0; lazy connect posts one card per
+/// generation.  The adaptive design's extras (FIN landing zone, read
+/// pipeline QPs) ride on the same card once `extras` is set.
+struct EndpointCard {
+  std::uint32_t qpn = 0;
+  std::uint64_t ring_addr = 0;
+  std::uint32_t ring_rkey = 0;
+  std::uint64_t ctrl_addr = 0;
+  std::uint32_t ctrl_rkey = 0;
+  bool extras = false;
+  std::uint64_t fin_addr = 0;
+  std::uint32_t fin_rkey = 0;
+  std::vector<std::uint32_t> aux_qpns;
+};
+
+/// One side's half of a recovery re-handshake: the replacement QP and how
+/// much of the peer's stream it had consumed (the peer's replay start).
+struct RecoveryRecord {
+  std::uint32_t qpn = 0;
+  std::uint64_t consumed = 0;
+};
+
+/// A lazy-connect control message.  `consumed` is meaningful for kEvict
+/// only (the initiator's consumed mark of the receiver's stream).
+struct LazyMail {
+  enum class Op : std::uint8_t { kConnect, kEvict, kAck, kNack };
+  Op op = Op::kConnect;
+  int from = 0;
+  std::uint64_t gen = 0;
+  std::uint64_t consumed = 0;
+};
+
 /// Job-wide key-value space.  get() blocks until the key has been
 /// published, so `put(...); co_await get(peer_key)` is a safe exchange
 /// without an explicit barrier.
+///
+/// Besides the string keys (one-time setup exchanges and the process-fault
+/// protocol), the channel control plane has typed boards: endpoint cards,
+/// recovery records, per-pair dead markers and lazy-connect mailboxes.
+/// They share the string entries' publish trigger, so any waiter wakes on
+/// any publication, but they are not string entries: size() counts only
+/// the latter.
 class Kvs {
  public:
+  /// Kvs::wait deadline meaning "no deadline".
+  static constexpr sim::Tick kNoDeadline = 0;
+
   explicit Kvs(sim::Simulator& sim) : published_(sim) {}
 
   void put(const std::string& key, std::string value) {
@@ -50,84 +99,138 @@ class Kvs {
     co_return std::stoull(v);
   }
 
-  /// Blocks until `key` is published (returns its value) or `abort_key`
-  /// appears first (returns nullopt).  Recovery handshakes use this so a
-  /// rank waiting for its peer's half of an exchange is released when the
-  /// peer instead publishes a failure marker.
-  sim::Task<std::optional<std::string>> get_unless(std::string key,
-                                                   std::string abort_key) {
-    co_await sim::wait_until(published_, [this, &key, &abort_key] {
-      return entries_.count(key) > 0 || entries_.count(abort_key) > 0;
-    });
-    auto it = entries_.find(key);
-    if (it == entries_.end()) co_return std::nullopt;
-    co_return it->second;
-  }
-
-  /// get_unless with a virtual-time deadline: additionally returns (with
-  /// nullopt) once `deadline` passes with neither key published.  The
-  /// channel recovery watchdog bounds its handshake waits with this --
-  /// disambiguate timeout from abort by probing has(abort_key) afterwards.
-  /// `deadline` must be in the future.
-  sim::Task<std::optional<std::string>> get_unless_before(
-      std::string key, std::string abort_key, sim::Tick deadline) {
+  /// Blocks until `published()` holds (kPublished), else until `dead()`
+  /// holds (kPeerDead), else until virtual time reaches `deadline`
+  /// (kDeadline; kNoDeadline waits without one).  Both predicates are
+  /// re-tested on every publication.  A bounded wait schedules exactly one
+  /// wakeup, at `deadline`, which must be in the future.
+  template <class Published, class Dead>
+  sim::Task<WaitOutcome> wait(Published published, Dead dead,
+                              sim::Tick deadline = kNoDeadline) {
     sim::Simulator& sim = published_.simulator();
     // The trigger only re-evaluates predicates when fired; fire it at the
     // deadline so the time clause below is actually observed.
-    sim.call_at(deadline, [this] { published_.fire(); });
-    co_await sim::wait_until(published_, [this, &key, &abort_key, deadline,
-                                          &sim] {
-      return entries_.count(key) > 0 || entries_.count(abort_key) > 0 ||
-             sim.now() >= deadline;
+    if (deadline != kNoDeadline) {
+      sim.call_at(deadline, [this] { published_.fire(); });
+    }
+    co_await sim::wait_until(published_, [&] {
+      return published() || dead() ||
+             (deadline != kNoDeadline && sim.now() >= deadline);
     });
-    auto it = entries_.find(key);
-    if (it == entries_.end()) co_return std::nullopt;
-    co_return it->second;
+    if (published()) co_return WaitOutcome::kPublished;
+    co_return dead() ? WaitOutcome::kPeerDead : WaitOutcome::kDeadline;
   }
 
-  /// Non-blocking probe (PMI_KVS_Get with an immediate-failure return):
-  /// recovery paths use it to check for a peer's "dead" marker without
-  /// committing to wait for it.
+  /// Non-blocking probe (PMI_KVS_Get with an immediate-failure return).
   bool has(const std::string& key) const { return entries_.count(key) > 0; }
 
-  /// Non-blocking lookup: the value if published, nullptr otherwise.  Lazy
-  /// connection joins read a whole key family synchronously (no suspension
-  /// between reads) once the family's last-published sentinel key appears.
+  /// Non-blocking lookup: the value if published, nullptr otherwise.
   const std::string* find(const std::string& key) const {
     auto it = entries_.find(key);
     return it == entries_.end() ? nullptr : &it->second;
   }
 
   /// Append-only mailbox: values accumulate per key in publish order and
-  /// are never overwritten.  Lazy connection establishment uses one mailbox
-  /// per rank ("lzm:<rank>") for connect/evict requests; consumers keep a
-  /// cursor into the list.  Fires the same trigger as put().
+  /// are never overwritten; mail_count is a cheap monotone version for
+  /// consumers that only need "did it move".  Fires the same trigger as
+  /// put().
   void append(const std::string& key, std::string value) {
     mailboxes_[key].push_back(std::move(value));
     published_.fire();
   }
 
-  /// The mailbox list for `key` (possibly empty).  The reference is stable
-  /// across further append() calls.
-  const std::vector<std::string>& mail(const std::string& key) {
-    return mailboxes_[key];
-  }
-
-  /// Entries in `key`'s mailbox without materializing it (const-safe): a
-  /// cheap monotone version for consumers that only need "did it move".
   std::size_t mail_count(const std::string& key) const {
     auto it = mailboxes_.find(key);
     return it == mailboxes_.end() ? 0 : it->second.size();
   }
 
+  /// String entries only (the typed boards are not counted).
   std::size_t size() const noexcept { return entries_.size(); }
 
-  /// Obituary board.  A rank that convicts a peer as permanently dead posts
-  /// an obituary here; every other rank consults the board before burning
-  /// its own retry budget against the corpse.  post_obit is idempotent (the
-  /// first conviction wins) and mirrors the obituary into the regular KVS as
-  /// "ft:dead:<rank>" so key-based waiters (get_unless family) can use it as
-  /// an abort key.  obit_version() is a cheap monotonic cursor: consumers
+  // ---- endpoint cards -------------------------------------------------------
+  /// Publishes `from`'s endpoint toward `to` for generation `gen`.  A
+  /// re-post of the same coordinate replaces the card (eager adaptive
+  /// bootstrap adds its extras in a second step).
+  void post_card(int from, int to, std::uint64_t gen, EndpointCard card) {
+    cards_[PairKey{from, to, gen}] = std::move(card);
+    published_.fire();
+  }
+
+  const EndpointCard* find_card(int from, int to, std::uint64_t gen) const {
+    auto it = cards_.find(PairKey{from, to, gen});
+    return it == cards_.end() ? nullptr : &it->second;
+  }
+
+  /// Blocks until the card is published (with its extras, if asked).  The
+  /// pointer stays valid for the Kvs's lifetime.
+  sim::Task<const EndpointCard*> get_card(int from, int to, std::uint64_t gen,
+                                          bool with_extras = false) {
+    const EndpointCard* card = nullptr;
+    co_await sim::wait_until(published_, [&] {
+      card = find_card(from, to, gen);
+      return card != nullptr && (!with_extras || card->extras);
+    });
+    co_return card;
+  }
+
+  // ---- recovery records -----------------------------------------------------
+  void post_recovery(int from, int to, std::uint64_t epoch,
+                     RecoveryRecord rec) {
+    recoveries_[PairKey{from, to, epoch}] = rec;
+    published_.fire();
+  }
+
+  const RecoveryRecord* find_recovery(int from, int to,
+                                      std::uint64_t epoch) const {
+    if (recoveries_.empty()) return nullptr;
+    auto it = recoveries_.find(PairKey{from, to, epoch});
+    return it == recoveries_.end() ? nullptr : &it->second;
+  }
+
+  /// Kvs::wait for `from`'s recovery record toward `to` at `epoch`, released
+  /// early by `from`'s dead marker for the pair.
+  sim::Task<WaitOutcome> wait_recovery(int from, int to, std::uint64_t epoch,
+                                       sim::Tick deadline = kNoDeadline) {
+    return wait([this, from, to, epoch] {
+                  return find_recovery(from, to, epoch) != nullptr;
+                },
+                [this, from, to] { return pair_dead(from, to); }, deadline);
+  }
+
+  // ---- per-pair dead markers ------------------------------------------------
+  /// `from` gave up on its connection to `to` (retry budget, watchdog,
+  /// lazy-connect budget).  Directional: only `to` reads it, to be released
+  /// from its half of a handshake.  Separate from the obituary board, which
+  /// convicts a whole rank for everyone.
+  void post_dead(int from, int to) {
+    dead_pairs_.insert({from, to});
+    published_.fire();
+  }
+
+  bool pair_dead(int from, int to) const {
+    return !dead_pairs_.empty() && dead_pairs_.count({from, to}) > 0;
+  }
+
+  // ---- lazy-connect mailboxes -----------------------------------------------
+  /// Appends `mail` to `to`'s mailbox.  Consumers keep a cursor and process
+  /// in FIFO order, so an evict-ack for generation g is always handled
+  /// before the connect request that opens generation g+1.
+  void post_mail(int to, LazyMail mail) {
+    lazy_mail_[to].push_back(mail);
+    published_.fire();
+  }
+
+  /// `rank`'s mailbox (possibly empty).  The reference stays valid across
+  /// further post_mail() calls.
+  const std::vector<LazyMail>& mailbox(int rank) { return lazy_mail_[rank]; }
+
+  // ---- obituary board -------------------------------------------------------
+  /// A rank that convicts a peer as permanently dead posts an obituary
+  /// here; every other rank consults the board before burning its own
+  /// retry budget against the corpse.  post_obit is idempotent (the first
+  /// conviction wins) and mirrors the obituary into the string entries as
+  /// "ft:dead:<rank>" so key-based waiters can use it as an abort
+  /// condition.  obit_version() is a cheap monotonic cursor: consumers
   /// cache it and rescan the board only when it moves.
   bool post_obit(int rank) {
     if (!dead_ranks_.insert(rank).second) return false;
@@ -144,8 +247,22 @@ class Kvs {
   std::uint64_t obit_version() const noexcept { return obit_list_.size(); }
 
  private:
+  /// Coordinate on a typed board: the publishing rank, the rank it
+  /// addresses, and the recovery epoch or lazy-connect generation scoping
+  /// the entry, so every re-handshake is a fresh write-once exchange.
+  struct PairKey {
+    int from = 0;
+    int to = 0;
+    std::uint64_t seq = 0;
+    auto operator<=>(const PairKey&) const = default;
+  };
+
   std::map<std::string, std::string> entries_;
   std::map<std::string, std::vector<std::string>> mailboxes_;
+  std::map<PairKey, EndpointCard> cards_;
+  std::map<PairKey, RecoveryRecord> recoveries_;
+  std::set<std::pair<int, int>> dead_pairs_;
+  std::map<int, std::vector<LazyMail>> lazy_mail_;
   std::set<int> dead_ranks_;
   std::vector<int> obit_list_;
   sim::Trigger published_;

@@ -15,10 +15,6 @@ namespace {
 /// 5's "extra overhead ... slightly increases the latency").
 constexpr sim::Tick kAdStateOverhead = sim::nsec(100);
 
-std::string akey(int from, int to, const std::string& what) {
-  return "ach:" + std::to_string(from) + ":" + std::to_string(to) + ":" + what;
-}
-
 /// Contiguous destination piece at byte `offset` of the iov list; len 0
 /// when the list offers no space there.
 Iov locate(std::span<const Iov> iovs, std::size_t offset) {
@@ -44,7 +40,7 @@ sim::Task<void> AdaptiveChannel::init() {
   const int naux = std::max(0, cfg_.rndv_read_qps);
 
   // Per connection: FIN-flag landing zone + source words, and the read
-  // pipeline's auxiliary QPs.  Published like the bootstrap endpoints.
+  // pipeline's auxiliary QPs, added to the bootstrap endpoint card.
   for (int p = 0; p < size(); ++p) {
     if (p == rank()) continue;
     auto& c = static_cast<AdaptiveConnection&>(connection(p));
@@ -58,9 +54,10 @@ sim::Task<void> AdaptiveChannel::init() {
     c.fin_src_mr = co_await pd().register_memory(
         c.fin_src.data(), 2 * kFinSlots * sizeof(std::uint64_t),
         ib::kAllAccess);
-    kvs.put_u64(akey(rank(), p, "fin_addr"),
-                reinterpret_cast<std::uint64_t>(c.fin_flags.data()));
-    kvs.put_u64(akey(rank(), p, "fin_rkey"), c.fin_mr->rkey());
+    pmi::EndpointCard card = *kvs.find_card(rank(), p, 0);
+    card.extras = true;
+    card.fin_addr = reinterpret_cast<std::uint64_t>(c.fin_flags.data());
+    card.fin_rkey = c.fin_mr->rkey();
     // Aux QPs deal round-robin over the node's rails (rail 0 on a default
     // fabric, so the single-rail creation order is unchanged); each rides
     // its rail's port and completes into that rail's CQ.
@@ -68,21 +65,21 @@ sim::Task<void> AdaptiveChannel::init() {
     c.aux.resize(static_cast<std::size_t>(naux));
     for (int i = 0; i < naux; ++i) {
       c.aux[static_cast<std::size_t>(i)] = &create_rail_qp(i % num_rails());
-      kvs.put_u64(akey(rank(), p, "aqpn" + std::to_string(i)),
-                  c.aux[static_cast<std::size_t>(i)]->qp_num());
+      card.aux_qpns.push_back(c.aux[static_cast<std::size_t>(i)]->qp_num());
     }
+    kvs.post_card(rank(), p, 0, std::move(card));
   }
   for (int p = 0; p < size(); ++p) {
     if (p == rank()) continue;
     auto& c = static_cast<AdaptiveConnection&>(connection(p));
-    c.r_fin_addr = co_await kvs.get_u64(akey(p, rank(), "fin_addr"));
-    c.r_fin_rkey = static_cast<std::uint32_t>(
-        co_await kvs.get_u64(akey(p, rank(), "fin_rkey")));
+    const pmi::EndpointCard& peer =
+        *co_await kvs.get_card(p, rank(), 0, /*with_extras=*/true);
+    c.r_fin_addr = peer.fin_addr;
+    c.r_fin_rkey = peer.fin_rkey;
     if (rank() < p) {
       for (int i = 0; i < naux; ++i) {
-        const auto qpn = static_cast<std::uint32_t>(
-            co_await kvs.get_u64(akey(p, rank(), "aqpn" + std::to_string(i))));
-        ib::QueuePair* peer_qp = ctx_->fabric().find_qp(qpn);
+        ib::QueuePair* peer_qp = ctx_->fabric().find_qp(
+            peer.aux_qpns.at(static_cast<std::size_t>(i)));
         if (peer_qp == nullptr) {
           throw std::runtime_error("adaptive bootstrap: aux QP not found");
         }
@@ -111,9 +108,9 @@ sim::Task<void> AdaptiveChannel::finalize() {
   }
 }
 
-sim::Task<void> AdaptiveChannel::lazy_setup_extra(VerbsConnection& conn) {
+sim::Task<void> AdaptiveChannel::lazy_setup_extra(VerbsConnection& conn,
+                                                  pmi::EndpointCard& card) {
   auto& c = static_cast<AdaptiveConnection&>(conn);
-  pmi::Kvs& kvs = *ctx_->kvs;
   const int naux = std::max(0, cfg_.rndv_read_qps);
   c.fin_flags.assign(2 * kFinSlots, 0);
   c.fin_src.assign(2 * kFinSlots, 0);
@@ -123,41 +120,30 @@ sim::Task<void> AdaptiveChannel::lazy_setup_extra(VerbsConnection& conn) {
   c.fin_src_mr = co_await pd().register_memory(
       c.fin_src.data(), 2 * kFinSlots * sizeof(std::uint64_t),
       ib::kAllAccess);
-  kvs.put_u64(lazy_key(rank(), c.peer, c.lz_gen, "fin_addr"),
-              reinterpret_cast<std::uint64_t>(c.fin_flags.data()));
-  kvs.put_u64(lazy_key(rank(), c.peer, c.lz_gen, "fin_rkey"),
-              c.fin_mr->rkey());
+  card.extras = true;
+  card.fin_addr = reinterpret_cast<std::uint64_t>(c.fin_flags.data());
+  card.fin_rkey = c.fin_mr->rkey();
   c.rail_sched.assign(static_cast<std::size_t>(num_rails()), 0);
   c.rr_next = 0;
   c.aux.assign(static_cast<std::size_t>(naux), nullptr);
   for (int i = 0; i < naux; ++i) {
     c.aux[static_cast<std::size_t>(i)] = &create_rail_qp(i % num_rails());
-    kvs.put_u64(
-        lazy_key(rank(), c.peer, c.lz_gen,
-                 ("aqpn" + std::to_string(i)).c_str()),
-        c.aux[static_cast<std::size_t>(i)]->qp_num());
+    card.aux_qpns.push_back(c.aux[static_cast<std::size_t>(i)]->qp_num());
   }
 }
 
-sim::Task<void> AdaptiveChannel::lazy_join_extra(VerbsConnection& conn) {
+sim::Task<void> AdaptiveChannel::lazy_join_extra(
+    VerbsConnection& conn, const pmi::EndpointCard& peer) {
   auto& c = static_cast<AdaptiveConnection&>(conn);
-  pmi::Kvs& kvs = *ctx_->kvs;
-  // Every peer key under this generation is readable: the main-QP qpn
-  // sentinel the caller saw is published after all of them.
-  c.r_fin_addr = std::stoull(
-      *kvs.find(lazy_key(c.peer, rank(), c.lz_gen, "fin_addr")));
-  c.r_fin_rkey = static_cast<std::uint32_t>(
-      std::stoull(*kvs.find(lazy_key(c.peer, rank(), c.lz_gen, "fin_rkey"))));
+  c.r_fin_addr = peer.fin_addr;
+  c.r_fin_rkey = peer.fin_rkey;
   if (rank() < c.peer) {
     // The lower rank wires each aux pair; connect() is bidirectional, so
     // by the time the higher rank sees the main QP connected its aux QPs
     // are wired too.
     for (std::size_t i = 0; i < c.aux.size(); ++i) {
       if (c.aux[i]->connected()) continue;
-      const auto qpn = static_cast<std::uint32_t>(std::stoull(*kvs.find(
-          lazy_key(c.peer, rank(), c.lz_gen,
-                   ("aqpn" + std::to_string(static_cast<int>(i))).c_str()))));
-      ib::QueuePair* peer_qp = ctx_->fabric().find_qp(qpn);
+      ib::QueuePair* peer_qp = ctx_->fabric().find_qp(peer.aux_qpns.at(i));
       if (peer_qp == nullptr) {
         throw std::runtime_error("lazy connect: peer aux QP not found");
       }

@@ -240,8 +240,10 @@ class AdaptiveChannel : public PipelineChannel {
   /// QPs are built with the local half of the on-demand handshake (their
   /// endpoints publish under the generation-scoped keys), joined before
   /// the main QP's commit point, and dropped at teardown.
-  sim::Task<void> lazy_setup_extra(VerbsConnection& c) override;
-  sim::Task<void> lazy_join_extra(VerbsConnection& c) override;
+  sim::Task<void> lazy_setup_extra(VerbsConnection& c,
+                                   pmi::EndpointCard& card) override;
+  sim::Task<void> lazy_join_extra(VerbsConnection& c,
+                                  const pmi::EndpointCard& peer) override;
   sim::Task<void> lazy_evict_extra(VerbsConnection& c) override;
   /// Rendezvous tokens, segment loans, and queued acks live outside the
   /// slot journal; a connection carrying any of them must not be torn down.

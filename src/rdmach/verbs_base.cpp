@@ -11,37 +11,6 @@
 
 namespace rdmach {
 
-namespace {
-
-std::string key(int from, int to, const char* what) {
-  return "ch:" + std::to_string(from) + ":" + std::to_string(to) + ":" + what;
-}
-
-/// Recovery-handshake keys are epoch-scoped so every re-handshake is a
-/// fresh exchange (PMI keys are write-once in real mpd too).
-std::string rec_key(int from, int to, std::uint64_t epoch, const char* what) {
-  return "rcv:" + std::to_string(from) + ":" + std::to_string(to) + ":" +
-         std::to_string(epoch) + ":" + what;
-}
-
-std::string dead_key(int from, int to) {
-  return "rcv:" + std::to_string(from) + ":" + std::to_string(to) + ":dead";
-}
-
-/// Per-rank mailbox key of the lazy-connect control plane; messages are
-/// appended (Kvs::append) and consumed in FIFO order through a cursor, so
-/// an evict-ack for generation g is always processed before the connect
-/// request that opens generation g+1.
-std::string lz_mail_key(int r) { return "lzm:" + std::to_string(r); }
-
-}  // namespace
-
-std::string VerbsChannelBase::lazy_key(int from, int to, std::uint64_t gen,
-                                       const char* what) {
-  return "lz:" + std::to_string(from) + ":" + std::to_string(to) + ":" +
-         std::to_string(gen) + ":" + what;
-}
-
 sim::Task<void> VerbsChannelBase::init() {
   pmi::Kvs& kvs = *ctx_->kvs;
   pd_ = &node().hca().alloc_pd();
@@ -73,6 +42,7 @@ sim::Task<void> VerbsChannelBase::init() {
       srq_mr_ = co_await pd_->register_memory(
           srq_pool_.base(), srq_pool_.bytes(), ib::kAllAccess);
     }
+    lz_box_ = &kvs.mailbox(rank());
     for (int p = 0; p < size(); ++p) {
       if (p == rank()) continue;
       auto conn = make_connection();
@@ -106,13 +76,13 @@ sim::Task<void> VerbsChannelBase::init() {
                                                   ib::kAllAccess);
     conn->qp = &node().hca().create_qp(*pd_, *cq_, *cq_);
     ++stats_.qps_created;
-    kvs.put_u64(key(rank(), p, "qpn"), conn->qp->qp_num());
-    kvs.put_u64(key(rank(), p, "ring_addr"),
-                reinterpret_cast<std::uint64_t>(conn->recv_ring.data()));
-    kvs.put_u64(key(rank(), p, "ring_rkey"), conn->ring_mr->rkey());
-    kvs.put_u64(key(rank(), p, "ctrl_addr"),
-                reinterpret_cast<std::uint64_t>(&conn->ctrl));
-    kvs.put_u64(key(rank(), p, "ctrl_rkey"), conn->ctrl_mr->rkey());
+    pmi::EndpointCard card;
+    card.qpn = conn->qp->qp_num();
+    card.ring_addr = reinterpret_cast<std::uint64_t>(conn->recv_ring.data());
+    card.ring_rkey = conn->ring_mr->rkey();
+    card.ctrl_addr = reinterpret_cast<std::uint64_t>(&conn->ctrl);
+    card.ctrl_rkey = conn->ctrl_mr->rkey();
+    kvs.post_card(rank(), p, 0, std::move(card));
     conns_[static_cast<std::size_t>(p)] = std::move(conn);
   }
 
@@ -120,16 +90,13 @@ sim::Task<void> VerbsChannelBase::init() {
   for (int p = 0; p < size(); ++p) {
     if (p == rank()) continue;
     VerbsConnection& c = *conns_[static_cast<std::size_t>(p)];
-    c.r_ring_addr = co_await kvs.get_u64(key(p, rank(), "ring_addr"));
-    c.r_ring_rkey = static_cast<std::uint32_t>(
-        co_await kvs.get_u64(key(p, rank(), "ring_rkey")));
-    c.r_ctrl_addr = co_await kvs.get_u64(key(p, rank(), "ctrl_addr"));
-    c.r_ctrl_rkey = static_cast<std::uint32_t>(
-        co_await kvs.get_u64(key(p, rank(), "ctrl_rkey")));
+    const pmi::EndpointCard& peer = *co_await kvs.get_card(p, rank(), 0);
+    c.r_ring_addr = peer.ring_addr;
+    c.r_ring_rkey = peer.ring_rkey;
+    c.r_ctrl_addr = peer.ctrl_addr;
+    c.r_ctrl_rkey = peer.ctrl_rkey;
     if (rank() < p) {
-      const auto peer_qpn = static_cast<std::uint32_t>(
-          co_await kvs.get_u64(key(p, rank(), "qpn")));
-      ib::QueuePair* peer_qp = ctx_->fabric().find_qp(peer_qpn);
+      ib::QueuePair* peer_qp = ctx_->fabric().find_qp(peer.qpn);
       if (peer_qp == nullptr) {
         throw std::runtime_error("bootstrap: peer QP not found");
       }
@@ -559,7 +526,7 @@ void VerbsChannelBase::watchdog_abort(VerbsConnection& c, const char* stage) {
   c.rec.dead = true;
   // Same release protocol as budget exhaustion: the peer may be parked in
   // its own handshake wait -- publish the verdict, then wake it.
-  ctx_->kvs->put(dead_key(rank(), c.peer), "1");
+  ctx_->kvs->post_dead(rank(), c.peer);
   wake_peer(c);
   node().dma_arrival().fire();
   post_obituary(c);
@@ -572,9 +539,9 @@ void VerbsChannelBase::watchdog_abort(VerbsConnection& c, const char* stage) {
 
 sim::Task<void> VerbsChannelBase::maybe_recover(VerbsConnection& c) {
   drain_cq();
-  pmi::Kvs& kvs = *ctx_->kvs;
+  const pmi::Kvs& kvs = *ctx_->kvs;
   for (;;) {
-    if (!c.rec.dead && kvs.has(dead_key(c.peer, rank()))) c.rec.dead = true;
+    if (!c.rec.dead && kvs.pair_dead(c.peer, rank())) c.rec.dead = true;
     if (c.rec.dead) {
       throw ChannelError(c.peer,
                          "connection to rank " + std::to_string(c.peer) +
@@ -644,7 +611,8 @@ void VerbsChannelBase::schedule_retry_wakeup() {
 }
 
 bool VerbsChannelBase::peer_epoch_pending(VerbsConnection& c) const {
-  return ctx_->kvs->has(rec_key(c.peer, rank(), c.rec.epoch + 1, "qpn"));
+  return ctx_->kvs->find_recovery(c.peer, rank(), c.rec.epoch + 1) !=
+         nullptr;
 }
 
 void VerbsChannelBase::wake_peer(VerbsConnection& c) {
@@ -697,7 +665,7 @@ sim::Task<void> VerbsChannelBase::recover(VerbsConnection& c) {
     // Publish the verdict *before* throwing so the peer -- possibly parked
     // inside its own handshake wait -- is released rather than deadlocked.
     c.rec.dead = true;
-    kvs.put(dead_key(rank(), c.peer), "1");
+    kvs.post_dead(rank(), c.peer);
     wake_peer(c);
     post_obituary(c);
     const ChannelError::Kind kind =
@@ -720,51 +688,45 @@ sim::Task<void> VerbsChannelBase::recover(VerbsConnection& c) {
   }
   co_await sim.delay(std::min(backoff, cfg_.recovery_backoff_cap));
 
-  // Tear down: error the old QP, wait until nothing it initiated can still
-  // land in peer memory (the precondition for trusting replayed state),
-  // then drop it from the CQE index so straggler flushes are inert.
-  c.qp->close();
-  co_await c.qp->quiesce();
-  qp_index_.erase(c.qp->qp_num());
+  // My half of this epoch may already be on the board: an earlier attempt
+  // timed out waiting for the peer while the accrual gate withheld
+  // conviction.  Its QP is still the one the peer will connect to, so the
+  // retry only waits again.
+  if (kvs.find_recovery(rank(), c.peer, next_epoch) == nullptr) {
+    // Tear down: error the old QP, wait until nothing it initiated can
+    // still land in peer memory (the precondition for trusting replayed
+    // state), then drop it from the CQE index so straggler flushes are
+    // inert.
+    c.qp->close();
+    co_await c.qp->quiesce();
+    qp_index_.erase(c.qp->qp_num());
 
-  // Fresh QP on the lowest live rail (rail 0 unless its port died -- a rail
-  // failure is a failover, not a retry storm; with every rail dead we stay
-  // on rail 0 and let the attempt budget declare the connection dead).
-  // Publish my half of the epoch handshake: the new QP number and how much
-  // of the peer's stream I had consumed (its replay start).
-  if (!c.qp->port().up()) note_rail_dead(c, c.qp->port().rail());
-  c.qp = &create_rail_qp(lowest_live_rail());
-  kvs.put_u64(rec_key(rank(), c.peer, next_epoch, "qpn"), c.qp->qp_num());
-  kvs.put_u64(rec_key(rank(), c.peer, next_epoch, "consumed"),
-              journal_consumed(c));
+    // Fresh QP on the lowest live rail (rail 0 unless its port died -- a
+    // rail failure is a failover, not a retry storm; with every rail dead
+    // we stay on rail 0 and let the attempt budget declare the connection
+    // dead).  Publish my half of the epoch handshake: the new QP number and
+    // how much of the peer's stream I had consumed (its replay start).
+    if (!c.qp->port().up()) note_rail_dead(c, c.qp->port().rail());
+    c.qp = &create_rail_qp(lowest_live_rail());
+    kvs.post_recovery(rank(), c.peer, next_epoch,
+                      pmi::RecoveryRecord{c.qp->qp_num(), journal_consumed(c)});
+  }
   wake_peer(c);
 
   // Join the peer's half -- unless it declared the connection dead, or the
   // watchdog deadline passes first (a peer that never answers must not
   // park this rank forever).
-  const bool bounded = watchdog_armed(c);
-  std::optional<std::string> peer_qpn_s;
-  std::optional<std::string> peer_consumed_s;
-  if (bounded) {
-    peer_qpn_s = co_await kvs.get_unless_before(
-        rec_key(c.peer, rank(), next_epoch, "qpn"), dead_key(c.peer, rank()),
-        c.rec.deadline);
-    if (peer_qpn_s) {
-      peer_consumed_s = co_await kvs.get_unless_before(
-          rec_key(c.peer, rank(), next_epoch, "consumed"),
-          dead_key(c.peer, rank()), c.rec.deadline);
-    }
-  } else {
-    peer_qpn_s = co_await kvs.get_unless(
-        rec_key(c.peer, rank(), next_epoch, "qpn"), dead_key(c.peer, rank()));
-    peer_consumed_s = co_await kvs.get_unless(
-        rec_key(c.peer, rank(), next_epoch, "consumed"),
-        dead_key(c.peer, rank()));
+  const pmi::WaitOutcome got = co_await kvs.wait_recovery(
+      c.peer, rank(), next_epoch,
+      watchdog_armed(c) ? c.rec.deadline : pmi::Kvs::kNoDeadline);
+  if (got == pmi::WaitOutcome::kDeadline) {
+    if (watchdog_expired(c)) watchdog_abort(c, "handshake");
+    // The accrual gate withholds conviction: a slow peer is not a dead
+    // one.  This attempt made no progress; maybe_recover's loop retries
+    // (backoff, budget and suspicion accrual as for any other attempt).
+    co_return;
   }
-  if (!peer_qpn_s || !peer_consumed_s) {
-    if (!kvs.has(dead_key(c.peer, rank())) && watchdog_expired(c)) {
-      watchdog_abort(c, "handshake");
-    }
+  if (got == pmi::WaitOutcome::kPeerDead) {
     c.rec.dead = true;
     throw ChannelError(c.peer,
                        "connection to rank " + std::to_string(c.peer) +
@@ -772,13 +734,13 @@ sim::Task<void> VerbsChannelBase::recover(VerbsConnection& c) {
                        ChannelError::kDead,
                        make_snapshot(c, "peer-declared-dead"));
   }
-  const auto peer_qpn =
-      static_cast<std::uint32_t>(std::stoull(*peer_qpn_s));
-  const std::uint64_t peer_consumed = std::stoull(*peer_consumed_s);
+  const pmi::RecoveryRecord peer = *kvs.find_recovery(c.peer, rank(),
+                                                      next_epoch);
+  const std::uint64_t peer_consumed = peer.consumed;
 
   // Same connect protocol as bootstrap: the lower rank wires the pair.
   if (rank() < c.peer) {
-    ib::QueuePair* peer_qp = ctx_->fabric().find_qp(peer_qpn);
+    ib::QueuePair* peer_qp = ctx_->fabric().find_qp(peer.qpn);
     if (peer_qp == nullptr) {
       throw std::runtime_error("recovery: peer QP not found");
     }
@@ -818,10 +780,12 @@ sim::Task<void> VerbsChannelBase::recover(VerbsConnection& c) {
   co_await replay(c, peer_consumed);
 }
 
-sim::Task<void> VerbsChannelBase::lazy_setup_extra(VerbsConnection&) {
+sim::Task<void> VerbsChannelBase::lazy_setup_extra(VerbsConnection&,
+                                                   pmi::EndpointCard&) {
   co_return;
 }
-sim::Task<void> VerbsChannelBase::lazy_join_extra(VerbsConnection&) {
+sim::Task<void> VerbsChannelBase::lazy_join_extra(VerbsConnection&,
+                                                  const pmi::EndpointCard&) {
   co_return;
 }
 sim::Task<void> VerbsChannelBase::lazy_evict_extra(VerbsConnection&) {
@@ -829,11 +793,13 @@ sim::Task<void> VerbsChannelBase::lazy_evict_extra(VerbsConnection&) {
 }
 
 sim::Task<void> VerbsChannelBase::pre_progress() {
-  if (cfg_.lazy_connect) co_await lazy_service();
+  if (cfg_.lazy_connect && !lazy_idle()) co_await lazy_service();
 }
 
-void VerbsChannelBase::lz_post_mail(VerbsConnection& c, std::string msg) {
-  ctx_->kvs->append(lz_mail_key(c.peer), std::move(msg));
+void VerbsChannelBase::lz_post_mail(VerbsConnection& c,
+                                    pmi::LazyMail::Op op, std::uint64_t gen,
+                                    std::uint64_t consumed) {
+  ctx_->kvs->post_mail(c.peer, pmi::LazyMail{op, rank(), gen, consumed});
   wake_peer(c);
 }
 
@@ -861,7 +827,7 @@ sim::Task<void> VerbsChannelBase::lz_pace(VerbsConnection& c,
     // verdict before throwing so a peer parked in its own half of the
     // handshake is released rather than deadlocked.
     c.rec.dead = true;
-    ctx_->kvs->put(dead_key(rank(), c.peer), "1");
+    ctx_->kvs->post_dead(rank(), c.peer);
     wake_peer(c);
     post_obituary(c);
     throw ChannelError(c.peer,
@@ -888,7 +854,6 @@ sim::Task<void> VerbsChannelBase::lz_pace(VerbsConnection& c,
 
 sim::Task<bool> VerbsChannelBase::lazy_setup_local(VerbsConnection& c) {
   if (c.lz_local_ready) co_return true;
-  pmi::Kvs& kvs = *ctx_->kvs;
   std::uint64_t ring_addr = 0;
   std::uint32_t ring_rkey = 0;
   if (srq_pool_.configured()) {
@@ -921,17 +886,17 @@ sim::Task<bool> VerbsChannelBase::lazy_setup_local(VerbsConnection& c) {
   c.ctrl_mr = co_await pd_->register_memory(&c.ctrl, sizeof(CtrlBlock),
                                             ib::kAllAccess);
   c.qp = &create_rail_qp(lowest_live_rail());
-  kvs.put_u64(lazy_key(rank(), c.peer, c.lz_gen, "ring_addr"), ring_addr);
-  kvs.put_u64(lazy_key(rank(), c.peer, c.lz_gen, "ring_rkey"), ring_rkey);
-  kvs.put_u64(lazy_key(rank(), c.peer, c.lz_gen, "ctrl_addr"),
-              reinterpret_cast<std::uint64_t>(&c.ctrl));
-  kvs.put_u64(lazy_key(rank(), c.peer, c.lz_gen, "ctrl_rkey"),
-              c.ctrl_mr->rkey());
-  co_await lazy_setup_extra(c);
-  // qpn is published last: its presence tells the peer that every other
-  // key of this generation (including design extras) is readable
-  // synchronously -- the join never blocks on a half-written half.
-  kvs.put_u64(lazy_key(rank(), c.peer, c.lz_gen, "qpn"), c.qp->qp_num());
+  pmi::EndpointCard card;
+  card.qpn = c.qp->qp_num();
+  card.ring_addr = ring_addr;
+  card.ring_rkey = ring_rkey;
+  card.ctrl_addr = reinterpret_cast<std::uint64_t>(&c.ctrl);
+  card.ctrl_rkey = c.ctrl_mr->rkey();
+  co_await lazy_setup_extra(c, card);
+  // The card is posted whole, after the design extras: once the peer sees
+  // it, everything of this generation is readable synchronously -- the
+  // join never blocks on a half-written half.
+  ctx_->kvs->post_card(rank(), c.peer, c.lz_gen, std::move(card));
   c.lz_local_ready = true;
   wake_peer(c);
   co_return true;
@@ -939,8 +904,8 @@ sim::Task<bool> VerbsChannelBase::lazy_setup_local(VerbsConnection& c) {
 
 sim::Task<void> VerbsChannelBase::lazy_advance(VerbsConnection& c) {
   if (c.boot != VerbsConnection::Boot::kRequested) co_return;
-  pmi::Kvs& kvs = *ctx_->kvs;
-  if (kvs.has(dead_key(c.peer, rank()))) {
+  const pmi::Kvs& kvs = *ctx_->kvs;
+  if (kvs.pair_dead(c.peer, rank())) {
     // The peer died mid-handshake; its verdict surfaces at the next
     // put/get on this connection.  Local registrations (if any) are
     // reclaimed at finalize.
@@ -950,34 +915,27 @@ sim::Task<void> VerbsChannelBase::lazy_advance(VerbsConnection& c) {
   }
   const bool have_local = co_await lazy_setup_local(c);
   if (!have_local) co_return;
-  const std::string* qpn_s = kvs.find(lazy_key(c.peer, rank(), c.lz_gen,
-                                               "qpn"));
-  if (qpn_s == nullptr) co_return;  // peer half not published yet
-  c.r_ring_addr =
-      std::stoull(*kvs.find(lazy_key(c.peer, rank(), c.lz_gen, "ring_addr")));
-  c.r_ring_rkey = static_cast<std::uint32_t>(
-      std::stoull(*kvs.find(lazy_key(c.peer, rank(), c.lz_gen, "ring_rkey"))));
-  c.r_ctrl_addr =
-      std::stoull(*kvs.find(lazy_key(c.peer, rank(), c.lz_gen, "ctrl_addr")));
-  c.r_ctrl_rkey = static_cast<std::uint32_t>(
-      std::stoull(*kvs.find(lazy_key(c.peer, rank(), c.lz_gen, "ctrl_rkey"))));
+  const pmi::EndpointCard* peer = kvs.find_card(c.peer, rank(), c.lz_gen);
+  if (peer == nullptr) co_return;  // peer half not published yet
+  c.r_ring_addr = peer->ring_addr;
+  c.r_ring_rkey = peer->ring_rkey;
+  c.r_ctrl_addr = peer->ctrl_addr;
+  c.r_ctrl_rkey = peer->ctrl_rkey;
   if (rank() < c.peer) {
     if (!c.qp->connected()) {
-      ib::QueuePair* peer_qp =
-          ctx_->fabric().find_qp(static_cast<std::uint32_t>(
-              std::stoull(*qpn_s)));
+      ib::QueuePair* peer_qp = ctx_->fabric().find_qp(peer->qpn);
       if (peer_qp == nullptr) {
         throw std::runtime_error("lazy connect: peer QP not found");
       }
       // Design extras (auxiliary QPs) wire first; the main QP connect is
       // the commit point the higher rank polls.
-      co_await lazy_join_extra(c);
+      co_await lazy_join_extra(c, *peer);
       c.qp->connect(*peer_qp);
       wake_peer(c);
     }
   } else {
     if (!c.qp->connected()) co_return;  // the lower rank wires the pair
-    co_await lazy_join_extra(c);
+    co_await lazy_join_extra(c, *peer);
   }
   c.peer_node = &c.qp->peer()->node();
   qp_index_[c.qp->qp_num()] = &c;
@@ -1103,24 +1061,17 @@ sim::Task<void> VerbsChannelBase::lazy_maybe_evict() {
   // set still needed (see the qp_thrash accounting in lazy_advance).
   v.lz_evicted_at = ++lz_evict_seq_;
   lz_evict_peer_ = v.peer;
-  lz_post_mail(v, "e:" + std::to_string(rank()) + ":" +
-                      std::to_string(v.lz_gen) + ":" +
-                      std::to_string(journal_consumed(v)));
+  lz_post_mail(v, pmi::LazyMail::Op::kEvict, v.lz_gen, journal_consumed(v));
 }
 
-sim::Task<void> VerbsChannelBase::lz_handle_mail(const std::string& msg) {
-  // "<op>:<from>:<gen>[:<consumed>]"
-  const std::size_t a = msg.find(':');
-  const std::size_t b = msg.find(':', a + 1);
-  const std::size_t d = msg.find(':', b + 1);
-  const char op = msg[0];
-  const int from = std::stoi(msg.substr(a + 1, b - a - 1));
-  const std::uint64_t gen = std::stoull(
-      msg.substr(b + 1, d == std::string::npos ? d : d - b - 1));
+sim::Task<void> VerbsChannelBase::lz_handle_mail(pmi::LazyMail msg) {
+  const int from = msg.from;
+  const std::uint64_t gen = msg.gen;
   VerbsConnection& c = *conns_[static_cast<std::size_t>(from)];
   using Boot = VerbsConnection::Boot;
-  switch (op) {
-    case 'c':
+  using Op = pmi::LazyMail::Op;
+  switch (msg.op) {
+    case Op::kConnect:
       // Connect request: the passive side joins the rendezvous.  A stale
       // generation, or a connection we already consider requested/wired,
       // needs no action (both sides may initiate simultaneously).
@@ -1132,11 +1083,9 @@ sim::Task<void> VerbsChannelBase::lz_handle_mail(const std::string& msg) {
         co_await lazy_advance(c);
       }
       co_return;
-    case 'e': {
-      const std::uint64_t peer_consumed = std::stoull(msg.substr(d + 1));
+    case Op::kEvict: {
       if (gen != c.lz_gen) {
-        lz_post_mail(c, "n:" + std::to_string(rank()) + ":" +
-                            std::to_string(gen));
+        lz_post_mail(c, Op::kNack, gen);
         co_return;
       }
       if (c.boot == Boot::kEvictWait) {
@@ -1156,37 +1105,33 @@ sim::Task<void> VerbsChannelBase::lz_handle_mail(const std::string& msg) {
       const bool ok =
           c.boot == Boot::kReady && !c.rec.failed && !c.rec.dead &&
           !c.integrity_failed && !peer_epoch_pending(c) &&
-          lazy_evictable(c) && peer_consumed == journal_produced(c) &&
+          lazy_evictable(c) && msg.consumed == journal_produced(c) &&
           journal_acked(c) == journal_produced(c);
       if (!ok) {
-        lz_post_mail(c, "n:" + std::to_string(rank()) + ":" +
-                            std::to_string(gen));
+        lz_post_mail(c, Op::kNack, gen);
         co_return;
       }
       co_await lazy_teardown(c);
       ++stats_.qps_evicted;
       // Acknowledge only after the teardown's quiesce: when the initiator
       // processes this, nothing of ours can still be in flight toward it.
-      lz_post_mail(c, "a:" + std::to_string(rank()) + ":" +
-                          std::to_string(gen));
+      lz_post_mail(c, Op::kAck, gen);
       co_return;
     }
-    case 'a':
+    case Op::kAck:
       if (gen == c.lz_gen && c.boot == Boot::kEvictWait) {
         co_await lazy_teardown(c);
         ++stats_.qps_evicted;
       }
       if (lz_evict_peer_ == from) lz_evict_peer_ = -1;
       co_return;
-    case 'n':
+    case Op::kNack:
       if (gen == c.lz_gen && c.boot == Boot::kEvictWait) {
         c.boot = Boot::kReady;
         c.lz_evicted_at = 0;  // eviction refused: no teardown, no thrash
         lz_touch(c);          // do not immediately re-pick the same victim
       }
       if (lz_evict_peer_ == from) lz_evict_peer_ = -1;
-      co_return;
-    default:
       co_return;
   }
 }
@@ -1196,9 +1141,9 @@ sim::Task<void> VerbsChannelBase::lazy_service() {
   lz_service_busy_ = true;
   std::exception_ptr err;
   try {
-    const std::vector<std::string>& box = ctx_->kvs->mail(lz_mail_key(rank()));
+    const std::vector<pmi::LazyMail>& box = *lz_box_;
     while (lz_mail_cursor_ < box.size()) {
-      const std::string msg = box[lz_mail_cursor_];
+      const pmi::LazyMail msg = box[lz_mail_cursor_];
       ++lz_mail_cursor_;
       co_await lz_handle_mail(msg);
     }
@@ -1244,7 +1189,7 @@ sim::Task<bool> VerbsChannelBase::ensure_tx(VerbsConnection& c) {
   if (!cfg_.lazy_connect) co_return true;
   using Boot = VerbsConnection::Boot;
   EvictShield shield(lz_protect_, c.peer);
-  co_await lazy_service();
+  if (!lazy_idle()) co_await lazy_service();
   if (c.boot == Boot::kReady) {
     lz_touch(c);
     co_return true;
@@ -1262,12 +1207,11 @@ sim::Task<bool> VerbsChannelBase::ensure_tx(VerbsConnection& c) {
     c.rec.attempts = 0;
     c.lz_next_attempt = ctx_->sim().now();
     lz_pending_.push_back(c.peer);
-    lz_post_mail(c, "c:" + std::to_string(rank()) + ":" +
-                        std::to_string(c.lz_gen));
+    lz_post_mail(c, pmi::LazyMail::Op::kConnect, c.lz_gen);
     co_await lazy_advance(c);
     if (c.boot == Boot::kReady) co_return true;  // peer half was waiting
   }
-  if (c.rec.dead || ctx_->kvs->has(dead_key(c.peer, rank()))) {
+  if (c.rec.dead || ctx_->kvs->pair_dead(c.peer, rank())) {
     c.rec.dead = true;
     throw ChannelError(c.peer,
                        "connection to rank " + std::to_string(c.peer) +
@@ -1284,14 +1228,14 @@ sim::Task<bool> VerbsChannelBase::ensure_rx(VerbsConnection& c) {
   if (!cfg_.lazy_connect) co_return true;
   using Boot = VerbsConnection::Boot;
   EvictShield shield(lz_protect_, c.peer);
-  co_await lazy_service();
+  if (!lazy_idle()) co_await lazy_service();
   if (c.boot == Boot::kReady || c.boot == Boot::kEvictWait) {
     lz_touch(c);
     co_return true;
   }
   // Passive: never initiate -- but surface a dead sender so a receive from
   // a killed never-connected rank fails instead of spinning.
-  if (c.rec.dead || ctx_->kvs->has(dead_key(c.peer, rank()))) {
+  if (c.rec.dead || ctx_->kvs->pair_dead(c.peer, rank())) {
     c.rec.dead = true;
     throw ChannelError(c.peer,
                        "connection to rank " + std::to_string(c.peer) +

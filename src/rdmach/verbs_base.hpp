@@ -149,17 +149,17 @@ class VerbsConnection : public Connection {
   /// are born kReady; under ChannelConfig::lazy_connect they are born kCold
   /// and walk kCold -> kRequested -> kReady on first use, then kReady ->
   /// kEvictWait -> kCold when the LRU cache shrinks the wired set back
-  /// under qp_budget.  Every KVS key of the lazy handshake is
+  /// under qp_budget.  The endpoint cards of the lazy handshake are
   /// generation-scoped (lz_gen bumps at each teardown) so reconnects are
   /// fresh write-once exchanges, exactly like the epoch-scoped recovery
-  /// keys.
+  /// records.
   enum class Boot { kCold, kRequested, kReady, kEvictWait };
   Boot boot = Boot::kReady;
   /// Connect generation; evictions bump it.  rec.epoch deliberately
-  /// survives teardown -- stale rcv:* keys from a previous life must not
-  /// fake a pending peer re-handshake after a reconnect.
+  /// survives teardown -- stale recovery records from a previous life must
+  /// not fake a pending peer re-handshake after a reconnect.
   std::uint64_t lz_gen = 0;
-  /// My half of the handshake (ring lease, QP, published keys) exists for
+  /// My half of the handshake (ring lease, QP, posted card) exists for
   /// lz_gen.
   bool lz_local_ready = false;
   /// Connect / evict-wait retry pacing (rec.attempts is the shared budget).
@@ -474,17 +474,14 @@ class VerbsChannelBase : public Channel {
   /// its half.  Default no-op (designs that ack on every get need none).
   virtual void lazy_flush_acks(VerbsConnection&) {}
   /// Design hooks around the lazy handshake: per-connection extras
-  /// (auxiliary QPs, flag arrays) created with the local half, joined with
-  /// the peer half, and dropped at teardown.  Defaults are no-ops.
-  virtual sim::Task<void> lazy_setup_extra(VerbsConnection& c);
-  virtual sim::Task<void> lazy_join_extra(VerbsConnection& c);
+  /// (auxiliary QPs, flag arrays) created with the local half and entered
+  /// on the endpoint card it is about to post, joined from the peer's
+  /// card, and dropped at teardown.  Defaults are no-ops.
+  virtual sim::Task<void> lazy_setup_extra(VerbsConnection& c,
+                                           pmi::EndpointCard& card);
+  virtual sim::Task<void> lazy_join_extra(VerbsConnection& c,
+                                          const pmi::EndpointCard& peer);
   virtual sim::Task<void> lazy_evict_extra(VerbsConnection& c);
-
-  /// Generation-scoped KVS key of the lazy handshake; design hooks publish
-  /// their extras under it so re-publishes after an eviction stay
-  /// write-once.
-  static std::string lazy_key(int from, int to, std::uint64_t gen,
-                              const char* what);
 
   /// Charges the per-call software overhead, flushing any modelled CRC
   /// cost accumulated since the last coroutine point first.
@@ -565,13 +562,22 @@ class VerbsChannelBase : public Channel {
   /// drives pending joins, then enforces qp_budget.  Reentrancy-guarded --
   /// every put/get/progress pass calls it.
   sim::Task<void> lazy_service();
-  sim::Task<void> lz_handle_mail(const std::string& msg);
+  /// Whether a lazy_service pass would find nothing to do: no unread mail,
+  /// no handshake in flight, and the wired set within qp_budget (pool
+  /// pressure needs a pending handshake too).  The per-put/get gates skip
+  /// the pass, and its coroutine frame, on the steady-state path.
+  bool lazy_idle() const {
+    return lz_mail_cursor_ == lz_box_->size() && lz_pending_.empty() &&
+           (cfg_.qp_budget == 0 ||
+            stats_.qps_live <= static_cast<std::uint64_t>(cfg_.qp_budget));
+  }
+  sim::Task<void> lz_handle_mail(pmi::LazyMail msg);
   /// Drives one kRequested connection: sets up the local half if needed,
   /// then joins the peer half once its qpn sentinel is published.
   sim::Task<void> lazy_advance(VerbsConnection& c);
   /// Allocates my half (ring lease or dedicated ring, staging, ctrl, QP)
-  /// and publishes the generation-scoped keys, qpn last.  False = shared
-  /// receive pool exhausted (counted as a credit stall; caller retries).
+  /// and posts its endpoint card for lz_gen.  False = shared receive pool
+  /// exhausted (counted as a credit stall; caller retries).
   sim::Task<bool> lazy_setup_local(VerbsConnection& c);
   /// Tears down a drained connection back to kCold and bumps lz_gen.
   sim::Task<void> lazy_teardown(VerbsConnection& c);
@@ -582,8 +588,10 @@ class VerbsChannelBase : public Channel {
   /// throws ChannelError::kDead when it runs out (publishing the dead
   /// marker first, like recovery budget exhaustion).
   sim::Task<void> lz_pace(VerbsConnection& c, const char* stage);
-  /// Appends a control message to the peer's mailbox and wakes it.
-  void lz_post_mail(VerbsConnection& c, std::string msg);
+  /// Appends a control message about generation `gen` to the peer's
+  /// mailbox and wakes it.
+  void lz_post_mail(VerbsConnection& c, pmi::LazyMail::Op op,
+                    std::uint64_t gen, std::uint64_t consumed = 0);
   void lz_touch(VerbsConnection& c) { c.lz_last_used = ++lz_clock_; }
   void lz_activate(int peer);
   void lz_deactivate(int peer);
@@ -618,6 +626,8 @@ class VerbsChannelBase : public Channel {
   std::vector<int> active_;
   /// Peers mid-handshake (kRequested); each service pass re-drives them.
   std::vector<int> lz_pending_;
+  /// This rank's lazy-connect mailbox on the KVS, and how far it is read.
+  const std::vector<pmi::LazyMail>* lz_box_ = nullptr;
   std::size_t lz_mail_cursor_ = 0;
   bool lz_service_busy_ = false;
   /// Peer of the one in-flight eviction handshake, or -1.

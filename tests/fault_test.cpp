@@ -273,6 +273,8 @@ struct RunResult {
   bool recv_error = false;
   std::uint64_t recoveries = 0;
   std::uint64_t kills = 0;
+  std::size_t kvs_after_init = 0;  // string KVS entries once bootstrapped
+  std::size_t kvs_at_end = 0;
 };
 
 std::uint64_t recoveries_of(rdmach::Channel* ch) {
@@ -303,6 +305,7 @@ RunResult run_stream(rdmach::Design design, const Traffic& traffic,
     ch[ctx.rank] = rdmach::Channel::create(ctx, cfg);
     rdmach::Channel& c = *ch[ctx.rank];
     co_await c.init();
+    if (ctx.rank == 0) rr.kvs_after_init = ctx.kvs->size();
     rdmach::Connection& conn = c.connection(1 - ctx.rank);
     if (ctx.rank == 0) {
       try {
@@ -335,6 +338,7 @@ RunResult run_stream(rdmach::Design design, const Traffic& traffic,
   sim.run_until(kDeadline);
   for (int r = 0; r < 2; ++r) rr.recoveries += recoveries_of(ch[r].get());
   if (plan != nullptr) rr.kills = plan->schedule.killed();
+  rr.kvs_at_end = job.kvs().size();
   return rr;
 }
 
@@ -378,6 +382,21 @@ TEST_P(FaultDesignTest, DeliversOracleByteStreamAcrossMidStreamFaults) {
   EXPECT_TRUE(rr.send_done);
   ASSERT_TRUE(rr.recv_done);
   EXPECT_EQ(rr.received, oracle.received);
+}
+
+TEST_P(FaultDesignTest, RecoveryHandshakesWriteNoStringKvsEntries) {
+  // Re-handshakes, replay and dead-marker probes run on the KVS's typed
+  // boards: QP kills on both sides must leave the string entry count where
+  // bootstrap left it.
+  const Traffic traffic = Traffic::make(/*seed=*/22, /*messages=*/40,
+                                        /*min_len=*/1, /*max_len=*/3000);
+  FaultPlan plan;
+  plan.kill(0, 5).kill(0, 25).kill(1, 3);
+  const RunResult rr = run_stream(GetParam(), traffic, &plan);
+  ASSERT_TRUE(rr.recv_done);
+  EXPECT_EQ(rr.received, traffic.bytes);
+  EXPECT_GE(rr.recoveries, 1u);
+  EXPECT_EQ(rr.kvs_at_end, rr.kvs_after_init);
 }
 
 TEST(ZeroCopyFault, RendezvousRdmaReadRestartsAfterTransportError) {

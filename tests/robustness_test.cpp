@@ -215,10 +215,11 @@ struct GrayResult {
 
 /// Same deadline-bounded rank0 -> rank1 stream shape as the chaos and
 /// multirail harnesses, for an arbitrary design and fabric, summing the
-/// gray-failure counters.
+/// gray-failure counters.  The receiver stays out of the channel for
+/// `receiver_nap` of virtual time before its first get.
 GrayResult run_gray(rdmach::Design design, const ib::FabricConfig& fcfg,
                     const rdmach::testutil::Traffic& traffic, FaultPlan* plan,
-                    rdmach::ChannelConfig cfg) {
+                    rdmach::ChannelConfig cfg, sim::Tick receiver_nap = 0) {
   GrayResult rr;
   sim::Simulator sim;
   ib::Fabric fabric{sim, fcfg};
@@ -251,6 +252,7 @@ GrayResult run_gray(rdmach::Design design, const ib::FabricConfig& fcfg,
       }
     } else {
       try {
+        if (receiver_nap > 0) co_await ctx.sim().delay(receiver_nap);
         co_await recv_all(c, conn, rr.received.data(), rr.received.size());
         const std::byte token{0x1};
         co_await send_all(c, conn, &token, 1);
@@ -341,6 +343,38 @@ TEST(GrayFailure, TenXLatencyRailIsNeverConvictedDead) {
     ASSERT_TRUE(rr.send_done) << name;
     ASSERT_TRUE(rr.recv_done) << name;
     EXPECT_EQ(rr.received, traffic.bytes) << name;
+    EXPECT_GE(rr.stats.recoveries, 1u) << name;
+    EXPECT_EQ(rr.stats.watchdog_trips, 0u) << name;
+  }
+}
+
+TEST(GrayFailure, HandshakeTimeoutWithGateClosedIsNotAPeerVerdict) {
+  // A QP kill opens a recovery episode while the receiver is out of the
+  // channel (computing) for longer than the watchdog deadline.  The
+  // sender's bounded handshake wait times out with the accrual gate still
+  // closed, and the receiver never published a dead marker: a slow peer,
+  // not a dead one.  The timeout must count as one no-progress attempt and
+  // the sender keep retrying until the receiver returns and joins the
+  // handshake -- not throw "declared dead by peer" (which also left the
+  // receiver to trip its own watchdog against a half that never connects).
+  const Traffic traffic = Traffic::make(/*seed=*/303, /*messages=*/60,
+                                        /*min_len=*/100, /*max_len=*/4'000);
+  for (const rdmach::Design d :
+       {rdmach::Design::kPipeline, rdmach::Design::kAdaptive}) {
+    FaultPlan plan;
+    plan.kill(0, 5);
+    rdmach::ChannelConfig cfg;
+    cfg.health_detector = true;
+    cfg.health_suspicion_trip = 8;
+    cfg.recovery_epoch_deadline = sim::usec(1'000);
+    GrayResult rr =
+        run_gray(d, {}, traffic, &plan, cfg, /*receiver_nap=*/sim::usec(1'500));
+    const std::string name = rdmach::to_string(d);
+    EXPECT_EQ(rr.errors, 0) << name;
+    ASSERT_TRUE(rr.send_done) << name;
+    ASSERT_TRUE(rr.recv_done) << name;
+    EXPECT_EQ(rr.received, traffic.bytes) << name;
+    EXPECT_EQ(plan.schedule.killed(), 1u) << name;
     EXPECT_GE(rr.stats.recoveries, 1u) << name;
     EXPECT_EQ(rr.stats.watchdog_trips, 0u) << name;
   }

@@ -195,6 +195,43 @@ TEST_P(ScaleDesignTest, LazyConnectAllPairsMatchesEagerOracle) {
   }
 }
 
+TEST(ScaleDifferential, LazyChurnAlltoallWritesNoStringKvsEntries) {
+  // 16 ranks through a 4-connection cache: the all-to-all forces connect,
+  // evict and reconnect churn, all of it on the KVS's typed boards
+  // (endpoint cards, mailboxes) -- the string entry count must not move.
+  constexpr int kRanks = 16;
+  for (const Design d : {Design::kZeroCopy, Design::kAdaptive}) {
+    ChannelConfig cfg;
+    cfg.design = d;
+    cfg.lazy_connect = true;
+    cfg.qp_budget = 4;
+    Fleet fleet(kRanks, cfg);
+    std::vector<std::vector<std::vector<std::byte>>> got(
+        kRanks, std::vector<std::vector<std::byte>>(kRanks));
+    std::size_t kvs_before = 0;
+    fleet.run([&](pmi::Context& ctx, Channel& ch) -> sim::Task<void> {
+      if (ctx.rank == 0) kvs_before = ctx.kvs->size();
+      co_await all_pairs_body(ctx, ch, 2'000,
+                              got[static_cast<std::size_t>(ctx.rank)]);
+    });
+    const std::string name = to_string(d);
+    ASSERT_TRUE(fleet.all_done()) << name;
+    for (int r = 0; r < kRanks; ++r) {
+      for (int s = 0; s < kRanks; ++s) {
+        if (r == s) continue;
+        EXPECT_EQ(got[static_cast<std::size_t>(r)][static_cast<std::size_t>(s)],
+                  pair_msg(s, r, 2'000))
+            << name << " stream " << s << "->" << r;
+      }
+    }
+    ChannelStats st;
+    for (const auto& c : fleet.ch) st.merge(c->stats());
+    EXPECT_GT(st.connects_on_demand, 0u) << name;
+    EXPECT_GT(st.qps_evicted, 0u) << name;
+    EXPECT_EQ(fleet.job.kvs().size(), kvs_before) << name;
+  }
+}
+
 TEST(ScaleDifferential, RingExchangeAt64RanksLazyBudgetMatchesEager) {
   // The rank-dimension point: 64 ranks, neighbour-ring traffic, lazy
   // connect with a 4-connection cache.  Per-rank QP state must stay
