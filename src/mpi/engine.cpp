@@ -118,7 +118,7 @@ sim::Task<Request> Engine::isend(const void* buf, std::size_t bytes,
     co_return Request(st);
   }
   ++sends;
-  co_await ctx_->node->compute(cfg_.per_op_overhead);
+  co_await ctx_->node->compute(kPerOpOverhead);
   ch3::MatchHeader hdr;
   hdr.src = src_comm_rank;
   hdr.tag = tag;
@@ -160,7 +160,7 @@ sim::Task<Request> Engine::irecv(void* buf, std::size_t bytes,
     co_return Request(st);
   }
   ++recvs;
-  co_await ctx_->node->compute(cfg_.per_op_overhead);
+  co_await ctx_->node->compute(kPerOpOverhead);
 
   // First consult the unexpected queue (arrival order).
   for (auto it = unexpected_.begin(); it != unexpected_.end(); ++it) {

@@ -16,7 +16,7 @@
 //
 //  * Chunked multi-read pipeline (kRtsRead): the RTS carries {addr, len,
 //    rkey} as in the zero-copy design, but the receiver splits the pull
-//    into rndv_read_chunk-sized reads striped over rndv_read_qps auxiliary
+//    into kRndvReadChunk-sized reads striped over rndv_read_qps auxiliary
 //    QPs, so up to N reads are outstanding despite the per-QP limit.
 //
 //  * The ProtocolSelector starts from static thresholds (eager below
@@ -193,9 +193,12 @@ class AdaptiveChannel : public PipelineChannel {
   AdaptiveChannel(pmi::Context& ctx, const ChannelConfig& cfg)
       : PipelineChannel(ctx, cfg),
         sel_(ProtocolSelector::Config{cfg.zero_copy_threshold,
-                                      cfg.rndv_read_threshold,
-                                      cfg.selector_probe_interval,
-                                      cfg.selector_alpha}) {}
+                                      cfg.rndv_read_threshold}) {}
+
+  /// Chunk size of the multi-read pipeline; one read is outstanding per aux
+  /// QP (the HCA's one-outstanding-read limit), so a large pull becomes
+  /// ceil(len / chunk) reads striped over the aux QPs.
+  static constexpr std::size_t kRndvReadChunk = 128 * 1024;
 
   sim::Task<void> init() override;
   sim::Task<void> finalize() override;

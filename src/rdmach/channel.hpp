@@ -98,6 +98,25 @@ enum class RailPolicy {
   kRoundRobin,  // strict rotation over live rails (naive baseline)
 };
 
+/// CPU cost charged per put/get invocation (channel bookkeeping).
+inline constexpr sim::Tick kPerCallOverhead = sim::usec(0.05);
+
+/// Recovery backoff ladder: the wait before the `attempt`-th consecutive
+/// no-progress attempt (1-based) is min(20 us * 2^(attempt-1), 2000 us).
+/// The one ladder for every retry loop in the stack: channel
+/// re-handshakes, lazy-connect pacing and window QP resets.
+inline constexpr sim::Tick kRecoveryBackoff = sim::usec(20);
+inline constexpr sim::Tick kRecoveryBackoffCap = sim::usec(2000);
+
+constexpr sim::Tick recovery_backoff(int attempt) {
+  // Seven doublings already pass the cap, so clamping the shift there
+  // keeps any attempt count (the NAS fault budgets run to 10^6) in range.
+  constexpr int kMaxShift = 7;
+  static_assert((kRecoveryBackoff << kMaxShift) >= kRecoveryBackoffCap);
+  const int shift = std::clamp(attempt - 1, 0, kMaxShift);
+  return std::min(kRecoveryBackoff << shift, kRecoveryBackoffCap);
+}
+
 struct ChannelConfig {
   Design design = Design::kZeroCopy;
   /// Shared ring buffer per connection direction (also the staging size).
@@ -111,11 +130,9 @@ struct ChannelConfig {
   /// Send an explicit tail update after this many consumed slots with no
   /// reverse traffic to piggyback on.  0 = half the slot count.
   std::size_t tail_update_slots = 0;
-  /// CPU cost charged per put/get invocation (channel bookkeeping).
-  sim::Tick per_call_overhead = sim::usec(0.05);
-  /// Registration cache (section 5) for zero-copy user buffers.
+  /// Registration cache (section 5) for zero-copy user buffers, sized
+  /// kRegCacheCapacity.
   bool use_reg_cache = true;
-  std::size_t reg_cache_capacity = 64u << 20;
 
   // ---- end-to-end integrity -----------------------------------------------
   /// Adds a CRC32C to every ring slot header and rendezvous completion and
@@ -133,11 +150,8 @@ struct ChannelConfig {
   /// replay) a connection may make without either direction's consumed
   /// watermark advancing before the connection is declared dead and put/get
   /// raise ChannelError.  Attempts that make progress reset the budget.
+  /// Each attempt first waits recovery_backoff(attempt).
   int recovery_max_attempts = 8;
-  /// Backoff before the first re-handshake; doubles per consecutive attempt.
-  sim::Tick recovery_backoff = sim::usec(20);
-  /// Ceiling for the exponential backoff.
-  sim::Tick recovery_backoff_cap = sim::usec(2000);
   /// Recovery watchdog: virtual-time budget for one recovery *episode* (a
   /// run of back-to-back attempts with no watermark progress).  An episode
   /// still unfinished at its deadline -- spinning re-handshakes, a replay
@@ -176,45 +190,27 @@ struct ChannelConfig {
   /// traces stay bit-identical (the monitor consumes no virtual time and
   /// draws no randomness either way).
   bool health_detector = false;
-  /// EWMA weight for new per-rail goodput samples.
-  double health_alpha = 0.2;
   /// A sample slower than mean + this many sigmas is "suspicious" and
   /// accrues one unit of suspicion; healthy samples decay the score.
   double health_soft_sigma = 3.0;
   /// Accrued suspicion units that trip quarantine.
   int health_suspicion_trip = 3;
-  /// Minimum samples on a rail before suspicion can accrue (EWMA warmup).
-  int health_warmup = 8;
   /// Probation: one single-chunk probe is allowed through a quarantined
   /// rail every this many scheduling decisions that would otherwise have
   /// skipped it.
   int health_probe_interval = 16;
-  /// A probe within this factor of the rail's pre-degrade goodput EWMA
-  /// counts as healthy; enough healthy probes reinstate the rail.
-  double health_reinstate_factor = 0.5;
-  /// Consecutive healthy probes required to reinstate.
-  int health_reinstate_probes = 2;
 
   // ---- adaptive rendezvous engine (Design::kAdaptive) ---------------------
   /// Static starting point for the write/read crossover: rendezvous of at
   /// least this many bytes begin on the chunked-read pipeline, smaller ones
   /// on the write path.  The online selector moves the boundary as observed
-  /// goodput accumulates.  (The eager/rendezvous boundary is
+  /// goodput accumulates, probing and averaging with ProtocolSelector's
+  /// default cadence and weight.  (The eager/rendezvous boundary is
   /// zero_copy_threshold, as in the zero-copy design.)
   std::size_t rndv_read_threshold = 256 * 1024;
-  /// Chunk size of the multi-read pipeline; one read is outstanding per aux
-  /// QP (the HCA's one-outstanding-read limit), so a large pull becomes
-  /// ceil(len / chunk) reads striped over the aux QPs.
-  std::size_t rndv_read_chunk = 128 * 1024;
   /// Auxiliary QP pairs per connection for the read pipeline.  0 degrades
   /// to single-read-at-a-time on the main QP (the zero-copy behavior).
   int rndv_read_qps = 4;
-  /// Every Nth rendezvous in a size bucket probes the protocol with fewer
-  /// samples instead of the current best (deterministic exploration).
-  /// 0 disables probing (pure static thresholds).
-  int selector_probe_interval = 32;
-  /// EWMA weight for new goodput observations in the selector.
-  double selector_alpha = 0.3;
 
   // ---- multi-rail striping (nodes with >1 HCA/port) -----------------------
   /// How rendezvous chunks are spread over the node's rails.  kWeighted

@@ -13,6 +13,7 @@
 // unpinned entries once the cached byte total exceeds the capacity.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <map>
 
@@ -20,6 +21,9 @@
 #include "sim/task.hpp"
 
 namespace rdmach {
+
+/// Cached-byte capacity of every channel's and window's registration cache.
+inline constexpr std::size_t kRegCacheCapacity = 64u << 20;
 
 class RegCache {
  public:

@@ -295,12 +295,10 @@ void VerbsChannelBase::drain_cq() {
         // only ever set by recover(), so fault-free traces are untouched.
         auto it = qp_index_.find(wc.qp_num);
         if (it != qp_index_.end()) {
-          VerbsConnection::Recovery& rec = it->second->rec;
-          if (rec.deadline != 0 &&
-              ctx_->sim().now() - rec.last_attempt <=
-                  cfg_.recovery_epoch_deadline) {
-            rec.deadline = ctx_->sim().now() + cfg_.recovery_epoch_deadline;
-            if (rec.suspicion > 0) --rec.suspicion;
+          VerbsConnection& c = *it->second;
+          if (watchdog_armed(c)) {
+            c.rec.deadline = ctx_->sim().now() + cfg_.recovery_epoch_deadline;
+            if (c.rec.suspicion > 0) --c.rec.suspicion;
           }
         }
       }
@@ -336,7 +334,7 @@ void VerbsChannelBase::note_rail_sample(int rail, std::uint64_t bytes,
     // Probation: this sample is a probe's verdict.  Healthy = within the
     // reinstate factor of the pre-quarantine baseline goodput.
     const bool healthy =
-        mbps >= cfg_.health_reinstate_factor * h.baseline;
+        mbps >= kHealthReinstateFactor * h.baseline;
     if (h.probe_virgin) {
       h.probe_virgin = false;
       // The very first probe already measuring healthy means the detector
@@ -347,7 +345,7 @@ void VerbsChannelBase::note_rail_sample(int rail, std::uint64_t bytes,
       h.healthy_probes = 0;
       return;
     }
-    if (++h.healthy_probes < cfg_.health_reinstate_probes) return;
+    if (++h.healthy_probes < kHealthReinstateProbes) return;
     // Reinstate: rejoin the stripe set without a reconnect.  The EWMA
     // restarts its warmup from the probe's reading -- the healed rail's
     // goodput, not the degraded history.
@@ -367,7 +365,7 @@ void VerbsChannelBase::note_rail_sample(int rail, std::uint64_t bytes,
   // Suspicion test against the EWMA *before* folding the sample in, with
   // the deviation floored at 10 % of the mean so a near-zero variance
   // cannot hair-trigger on ordinary jitter.
-  if (h.samples >= static_cast<std::uint64_t>(cfg_.health_warmup)) {
+  if (h.samples >= kHealthWarmup) {
     const double sigma =
         std::max(std::sqrt(h.var), 0.1 * h.mean);
     if (mbps < h.mean - cfg_.health_soft_sigma * sigma) {
@@ -404,7 +402,7 @@ void VerbsChannelBase::note_rail_sample(int rail, std::uint64_t bytes,
     h.mean = mbps;
     h.var = 0.0;
   } else {
-    const double a = cfg_.health_alpha;
+    const double a = kHealthAlpha;
     const double d = mbps - h.mean;
     h.mean += a * d;
     h.var = (1.0 - a) * (h.var + a * d * d);
@@ -521,15 +519,21 @@ void VerbsChannelBase::obit_fast_fail(VerbsConnection& c, const char* stage) {
                      ChannelError::kDead, std::move(snap));
 }
 
-void VerbsChannelBase::watchdog_abort(VerbsConnection& c, const char* stage) {
-  ++stats_.watchdog_trips;
+void VerbsChannelBase::convict(VerbsConnection& c) {
   c.rec.dead = true;
-  // Same release protocol as budget exhaustion: the peer may be parked in
-  // its own handshake wait -- publish the verdict, then wake it.
   ctx_->kvs->post_dead(rank(), c.peer);
   wake_peer(c);
-  node().dma_arrival().fire();
   post_obituary(c);
+}
+
+void VerbsChannelBase::watchdog_abort(VerbsConnection& c, const char* stage) {
+  ++stats_.watchdog_trips;
+  convict(c);
+  // Also wake this rank's own parked waits.  Of convict()'s events only
+  // the dead marker's KVS wakeup is due now (the peer and obituary wakeups
+  // lie one wire latency out), so firing after it resumes the same
+  // waiters in the same order as firing before the obituary did.
+  node().dma_arrival().fire();
   RecoverySnapshot snap = make_snapshot(c, std::string("watchdog:") + stage);
   throw ChannelError(c.peer,
                      "connection to rank " + std::to_string(c.peer) +
@@ -644,9 +648,7 @@ sim::Task<void> VerbsChannelBase::recover(VerbsConnection& c) {
                        now - c.rec.last_attempt > cfg_.recovery_epoch_deadline;
     if (fresh) {
       c.rec.deadline = now + cfg_.recovery_epoch_deadline;
-    } else if (now >= c.rec.deadline &&
-               (!cfg_.health_detector ||
-                c.rec.suspicion >= cfg_.health_suspicion_trip)) {
+    } else if (watchdog_expired(c)) {
       // With the health detector on, the deadline alone does not convict:
       // the episode must also have accrued enough suspicion (attempts with
       // no completions decaying the score) -- the accrual-detector gate.
@@ -662,12 +664,7 @@ sim::Task<void> VerbsChannelBase::recover(VerbsConnection& c) {
   }
 
   if (++c.rec.attempts > cfg_.recovery_max_attempts) {
-    // Publish the verdict *before* throwing so the peer -- possibly parked
-    // inside its own handshake wait -- is released rather than deadlocked.
-    c.rec.dead = true;
-    kvs.post_dead(rank(), c.peer);
-    wake_peer(c);
-    post_obituary(c);
+    convict(c);
     const ChannelError::Kind kind =
         c.rec.integrity ? ChannelError::kIntegrity : ChannelError::kDead;
     throw ChannelError(
@@ -681,12 +678,7 @@ sim::Task<void> VerbsChannelBase::recover(VerbsConnection& c) {
   }
 
   // Bounded exponential backoff before touching the wire again.
-  sim::Tick backoff = cfg_.recovery_backoff;
-  for (int i = 1; i < c.rec.attempts &&
-                  backoff < cfg_.recovery_backoff_cap; ++i) {
-    backoff *= 2;
-  }
-  co_await sim.delay(std::min(backoff, cfg_.recovery_backoff_cap));
+  co_await sim.delay(recovery_backoff(c.rec.attempts));
 
   // My half of this epoch may already be on the board: an earlier attempt
   // timed out waiting for the peer while the accrual gate withheld
@@ -823,13 +815,7 @@ sim::Task<void> VerbsChannelBase::lz_pace(VerbsConnection& c,
   sim::Simulator& sim = ctx_->sim();
   if (sim.now() < c.lz_next_attempt) co_return;
   if (++c.rec.attempts > cfg_.recovery_max_attempts) {
-    // Same release protocol as recovery budget exhaustion: publish the
-    // verdict before throwing so a peer parked in its own half of the
-    // handshake is released rather than deadlocked.
-    c.rec.dead = true;
-    ctx_->kvs->post_dead(rank(), c.peer);
-    wake_peer(c);
-    post_obituary(c);
+    convict(c);
     throw ChannelError(c.peer,
                        "connection to rank " + std::to_string(c.peer) +
                            " beyond reach: " +
@@ -838,12 +824,7 @@ sim::Task<void> VerbsChannelBase::lz_pace(VerbsConnection& c,
                            stage + ")",
                        ChannelError::kDead, make_snapshot(c, stage));
   }
-  sim::Tick backoff = cfg_.recovery_backoff;
-  for (int i = 1;
-       i < c.rec.attempts && backoff < cfg_.recovery_backoff_cap; ++i) {
-    backoff *= 2;
-  }
-  c.lz_next_attempt = sim.now() + std::min(backoff, cfg_.recovery_backoff_cap);
+  c.lz_next_attempt = sim.now() + recovery_backoff(c.rec.attempts);
   // Guaranteed self-wakeup at the next pacing step: a sender whose put()
   // keeps returning 0 may have no other future event, and a parked progress
   // loop with an empty queue would otherwise be a DeadlockError.

@@ -291,9 +291,15 @@ class VerbsChannelBase : public Channel {
     }
     return true;
   }
-  /// Declares `c` dead with a diagnostic snapshot: publishes the dead
-  /// marker (releasing a peer parked in its own handshake), wakes both
-  /// sides, and throws ChannelError::kDead.  `stage` names the stuck wait.
+  /// Convicts `c`'s peer: marks the connection dead, publishes the
+  /// directional dead marker and wakes the peer (so a peer parked in its
+  /// own half of a handshake is released rather than deadlocked), then
+  /// posts the obituary.  Every conviction site (watchdog, retry budget,
+  /// lazy-connect pacing budget) calls this before it throws.
+  void convict(VerbsConnection& c);
+  /// Declares `c` dead with a diagnostic snapshot: convict(), wake this
+  /// rank's own parked waits, and throw ChannelError::kDead.  `stage`
+  /// names the stuck wait.
   [[noreturn]] void watchdog_abort(VerbsConnection& c, const char* stage);
   /// Builds the diagnostic snapshot from `c`'s current recovery state.
   RecoverySnapshot make_snapshot(const VerbsConnection& c,
@@ -362,6 +368,15 @@ class VerbsChannelBase : public Channel {
     int healthy_probes = 0;     // consecutive healthy probation probes
     bool probe_virgin = true;   // first probe decides false_suspicions
   };
+  /// EWMA weight for new per-rail goodput samples.
+  static constexpr double kHealthAlpha = 0.2;
+  /// Minimum samples on a rail before suspicion can accrue (EWMA warmup).
+  static constexpr std::uint64_t kHealthWarmup = 8;
+  /// A probe within this factor of the rail's pre-degrade goodput EWMA
+  /// counts as healthy.
+  static constexpr double kHealthReinstateFactor = 0.5;
+  /// Consecutive healthy probes that reinstate a quarantined rail.
+  static constexpr int kHealthReinstateProbes = 2;
 
   /// Stripe-set membership test: up AND (detector off OR not quarantined).
   /// Every adaptive scheduling site (write rail pick, read QP pick, aux-QP
@@ -416,12 +431,11 @@ class VerbsChannelBase : public Channel {
   sim::Task<void> maybe_recover(VerbsConnection& c);
 
   // ---- failure detector (process faults) ----------------------------------
-  /// Publishes an obituary for `c`'s peer on the job-wide board.  Called at
-  /// every site that convicts a peer as permanently dead (watchdog trip,
-  /// retry-budget exhaustion, lazy-connect pacing budget), so the first
-  /// rank to pay a full detection cost spares everyone else theirs.  Wakes
-  /// every node's progress loop -- engines park on the fabric trigger, not
-  /// the KVS one.  Idempotent per peer.
+  /// Publishes an obituary for `c`'s peer on the job-wide board (ft_detector
+  /// only).  convict() calls it, so the first rank to pay a full detection
+  /// cost spares everyone else theirs.  Wakes every node's progress loop --
+  /// engines park on the fabric trigger, not the KVS one.  Idempotent per
+  /// peer.
   void post_obituary(VerbsConnection& c);
   /// Whether `c`'s peer is already on the obituary board.
   bool peer_obituaried(const VerbsConnection& c) const {
@@ -487,7 +501,7 @@ class VerbsChannelBase : public Channel {
   /// cost accumulated since the last coroutine point first.
   sim::Task<void> call_overhead() {
     if (pending_crc_bytes_ > 0) co_await flush_crc_charge();
-    co_await node().compute(cfg_.per_call_overhead);
+    co_await node().compute(kPerCallOverhead);
   }
 
   // ---- end-to-end integrity ----------------------------------------------

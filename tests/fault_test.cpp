@@ -17,7 +17,9 @@
 // eviction/invalidation behavior under pin-down pressure.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstring>
+#include <memory>
 #include <numeric>
 #include <string>
 #include <vector>
@@ -31,6 +33,7 @@
 #include "ib/qp.hpp"
 #include "ib/types.hpp"
 #include "mpi/runtime.hpp"
+#include "mpi/window.hpp"
 #include "pmi/pmi.hpp"
 #include "rdmach/channel.hpp"
 #include "rdmach/multi_method_channel.hpp"
@@ -555,6 +558,115 @@ TEST(RecoveryBudget, FaultFreeTrafficPerformsNoRecoveries) {
   ASSERT_TRUE(rr.recv_done);
   EXPECT_EQ(rr.received, traffic.bytes);
   EXPECT_EQ(rr.recoveries, 0u);
+}
+
+// ---------------------------------------------------------------------------
+// Recovery backoff ladder
+// ---------------------------------------------------------------------------
+
+TEST(RecoveryBackoff, LadderDoublesFromTwentyMicrosecondsUpToTheCap) {
+  const double ladder_us[] = {20, 40, 80, 160, 320, 640, 1280, 2000, 2000};
+  for (int attempt = 1; attempt <= 9; ++attempt) {
+    EXPECT_EQ(rdmach::recovery_backoff(attempt),
+              sim::usec(ladder_us[attempt - 1]))
+        << "attempt " << attempt;
+  }
+  // The NAS fault campaigns run budgets of a million attempts.
+  EXPECT_EQ(rdmach::recovery_backoff(1'000'000), sim::usec(2000));
+}
+
+/// Virtual time at which rank 0's channel gives up on a peer whose every
+/// WQE dies, under a retry budget of `budget` attempts.
+sim::Tick channel_conviction_time(int budget) {
+  sim::Simulator sim;
+  ib::Fabric fabric{sim};
+  FaultPlan plan;
+  plan.kill_from(0, 0);
+  fabric.attach_faults(&plan.schedule);
+  pmi::Job job{fabric, 2};
+  rdmach::ChannelConfig cfg;
+  cfg.design = rdmach::Design::kPiggyback;
+  cfg.recovery_max_attempts = budget;
+  std::unique_ptr<rdmach::Channel> ch[2];
+  sim::Tick gave_up = -1;
+  job.launch([&](pmi::Context& ctx) -> sim::Task<void> {
+    ch[ctx.rank] = rdmach::Channel::create(ctx, cfg);
+    rdmach::Channel& c = *ch[ctx.rank];
+    co_await c.init();
+    rdmach::Connection& conn = c.connection(1 - ctx.rank);
+    std::byte b[64] = {};
+    try {
+      if (ctx.rank == 0) {
+        co_await rdmach::testutil::send_all(c, conn, b, sizeof b);
+        co_await rdmach::testutil::recv_all(c, conn, b, 1);
+      } else {
+        co_await rdmach::testutil::recv_all(c, conn, b, sizeof b);
+      }
+    } catch (const rdmach::ChannelError&) {
+      if (ctx.rank == 0) gave_up = sim.now();
+    }
+  });
+  sim.run_until(kDeadline);
+  return gave_up;
+}
+
+/// Same for rank 0's window: a put whose every WQE dies, then a flush.
+sim::Tick window_conviction_time(int budget) {
+  sim::Simulator sim;
+  ib::Fabric fabric{sim};
+  FaultPlan plan;
+  fabric.attach_faults(&plan.schedule);
+  pmi::Job job{fabric, 2};
+  mpi::WindowConfig wcfg;
+  wcfg.recovery_max_attempts = budget;
+  sim::Tick gave_up = -1;
+  job.launch([&](pmi::Context& ctx) -> sim::Task<void> {
+    mpi::Runtime rt(ctx, {});
+    co_await rt.init();
+    std::vector<std::int64_t> mem(1, 0);
+    auto win = co_await mpi::Window::create(rt.world(), mem.data(), 8, wcfg);
+    if (ctx.rank != 0) co_return;  // the target stays passive
+    const std::string scope = FaultPlan::scope_of(0);
+    plan.schedule.kill_from(scope, plan.schedule.observed(scope));
+    const std::int64_t v = 1;
+    win->lock_all();
+    try {
+      co_await win->put(&v, 1, mpi::Datatype::kLong, 1, 0);
+      co_await win->flush(1);
+    } catch (const rdmach::ChannelError&) {
+      gave_up = sim.now();
+    }
+  });
+  sim.run_until(kDeadline);
+  return gave_up;
+}
+
+TEST(RecoveryBackoff, ChannelAndWindowWaitTheSameLadder) {
+  // Raising the budget from n-1 to n adds one more failed attempt: its
+  // backoff, recovery_backoff(n), plus a fixed cost per attempt.  So the
+  // step between consecutive conviction times, less the first step, must
+  // trace recovery_backoff(n) - recovery_backoff(1).  A window resets its
+  // QP alone; a channel re-handshake waits for the peer, which joins the
+  // epoch only after its own attempt n backs off, so the channel pays the
+  // ladder twice per attempt.
+  sim::Tick channel[10];
+  sim::Tick window[10];
+  for (int budget = 0; budget < 10; ++budget) {
+    channel[budget] = channel_conviction_time(budget);
+    window[budget] = window_conviction_time(budget);
+    ASSERT_GE(channel[budget], 0) << "channel budget " << budget;
+    ASSERT_GE(window[budget], 0) << "window budget " << budget;
+  }
+  for (int n = 2; n < 10; ++n) {
+    const sim::Tick expected =
+        rdmach::recovery_backoff(n) - rdmach::recovery_backoff(1);
+    EXPECT_EQ((channel[n] - channel[n - 1]) - (channel[1] - channel[0]),
+              2 * expected)
+        << "channel attempt " << n;
+    EXPECT_EQ((window[n] - window[n - 1]) - (window[1] - window[0]),
+              expected)
+        << "window attempt " << n;
+  }
 }
 
 // ---------------------------------------------------------------------------
