@@ -28,6 +28,12 @@ struct CampaignOutcome {
   nas::Result result;      // rank 0's Result (meaningful when completed)
   bool completed = false;  // every rank finished its kernel or failed clean
   bool wedged = false;     // virtual deadline hit with a rank still stuck
+  /// Why a wedged run stopped short, when the simulator can tell: a rank
+  /// process that died of an exception the kernel did not catch
+  /// (ProcessError; the run stops there), or the processes still blocked
+  /// when the event queue drained (DeadlockError).  Empty for a run that
+  /// was merely still going at the deadline.
+  std::string stall;
   int errors = 0;          // ranks that surfaced a transport error
   std::vector<std::string> error_whats;  // their messages (snapshot texts)
   rdmach::ChannelStats stats;            // all ranks, workload-only deltas
@@ -108,11 +114,24 @@ inline CampaignOutcome run_nas_campaign(
   out.completed = true;
   for (const int d : done) out.completed = out.completed && d != 0;
   out.wedged = !out.completed;
+  if (out.wedged) {
+    try {
+      sim.raise_if_stuck();
+    } catch (const std::exception& e) {
+      out.stall = e.what();
+    }
+  }
   if (campaign != nullptr) {
     out.faults_armed = campaign->armed();
     out.faults_delivered = campaign->schedule().killed();
   }
   return out;
+}
+
+/// What a wedged run reports: why it stalled when known, else that the
+/// virtual deadline passed.
+inline const char* wedge_reason(const CampaignOutcome& r) {
+  return r.stall.empty() ? "wedged at deadline" : r.stall.c_str();
 }
 
 // ---- seeded standard mixes --------------------------------------------------

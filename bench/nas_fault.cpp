@@ -183,7 +183,7 @@ bool run_gray_section(const std::vector<RunSpec>& specs,
       if (r.wedged || !r.completed || r.errors > 0 || !r.result.verified) {
         std::printf("%-4s %-14s FAILED: %s\n", spec.kernel.c_str(),
                     mix_name.c_str(),
-                    r.wedged ? "wedged at deadline"
+                    r.wedged ? benchutil::wedge_reason(r)
                              : (r.errors > 0 ? r.error_whats.front().c_str()
                                              : "result not verified"));
         ok = false;
@@ -304,7 +304,7 @@ int main(int argc, char** argv) {
         if (r.wedged || !r.completed || r.errors > 0 || !r.result.verified) {
           std::printf("%-4s %-16s FAILED: %s\n", spec.kernel.c_str(),
                       mix_name.c_str(),
-                      r.wedged ? "wedged at deadline"
+                      r.wedged ? benchutil::wedge_reason(r)
                                : (r.errors > 0
                                       ? r.error_whats.front().c_str()
                                       : "result not verified"));

@@ -279,36 +279,50 @@ sim::Task<bool> StreamMux::progress_lookahead(int peer, Vc& vc) {
 }
 
 sim::Task<bool> StreamMux::progress() {
-  bool moved = false;
+  // Eager channel (no active set): every VC may hold inbound data at any
+  // time, so the pass is a dense scan over all ranks.  Lazy-connect
+  // channel: drive its connection control plane first (it can wire passive
+  // peers or tear down idle ones), then visit only the union of wired
+  // peers and VCs with queued sends -- everything else is provably idle, so
+  // a pass is O(active) instead of O(ranks).
   const std::vector<int>* act = ch_->active_peers();
-  if (act == nullptr) {
-    // Eager channel: every VC may hold inbound data at any time, so the
-    // pass stays the original dense scan.
-    for (int p = 0; p < ch_->size(); ++p) {
-      if (p == ch_->rank()) continue;
-      Vc& vc = vcs_[static_cast<std::size_t>(p)];
-      if (fence_dead(p, vc)) continue;
-      moved |= co_await progress_send(p, vc);
-      moved |= co_await progress_recv(p, vc);
-    }
-    co_return moved;
+  if (act != nullptr) {
+    co_await ch_->pre_progress();
+    act = ch_->active_peers();
+    scratch_.clear();
+    std::set_union(act->begin(), act->end(), work_.begin(), work_.end(),
+                   std::back_inserter(scratch_));
   }
-  // Lazy-connect channel: drive its connection control plane first (it can
-  // wire passive peers or tear down idle ones), then visit only the union
-  // of wired peers and VCs with queued sends -- everything else is
-  // provably idle, so a pass is O(active) instead of O(ranks).
-  co_await ch_->pre_progress();
-  act = ch_->active_peers();
-  scratch_.clear();
-  std::set_union(act->begin(), act->end(), work_.begin(), work_.end(),
-                 std::back_inserter(scratch_));
-  for (const int p : scratch_) {
+  const std::size_t n = act != nullptr
+                            ? scratch_.size()
+                            : static_cast<std::size_t>(ch_->size());
+  bool moved = false;
+  for (std::size_t i = 0; i < n; ++i) {
+    const int p = act != nullptr ? scratch_[i] : static_cast<int>(i);
     if (p == ch_->rank()) continue;
     Vc& vc = vcs_[static_cast<std::size_t>(p)];
     if (fence_dead(p, vc)) continue;
-    moved |= co_await progress_send(p, vc);
-    moved |= co_await progress_recv(p, vc);
-    if (vc.sendq.empty() && vc.await_release.empty()) {
+    if (vc.sendq.empty() && !vc.in_payload && vc.ahead.empty() &&
+        ch_->plain_charge()) {
+      // Quiet visit: nothing to send and a header to poll for.  Pay the
+      // header get()'s per-call charge here and ask the channel whether the
+      // get would find anything; most visits end there, without building
+      // the send/receive/get coroutine frames.  Virtual time is the same as
+      // the full visit's: progress_send reduces to drain_releases, and the
+      // charge is the same plain delay get() would take.
+      moved |= drain_releases(p, vc);
+      co_await ch_->ctx().sim().delay(rdmach::kPerCallOverhead);
+      if (ch_->rx_quiet(ch_->connection(p))) {
+        moved |= drain_releases(p, vc);
+      } else {
+        ch_->waive_charge();
+        moved |= co_await progress_recv(p, vc);
+      }
+    } else {
+      moved |= co_await progress_send(p, vc);
+      moved |= co_await progress_recv(p, vc);
+    }
+    if (act != nullptr && vc.sendq.empty() && vc.await_release.empty()) {
       const auto it = std::lower_bound(work_.begin(), work_.end(), p);
       if (it != work_.end() && *it == p) work_.erase(it);
     }

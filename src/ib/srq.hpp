@@ -10,12 +10,20 @@
 // connections as they are wired.  Exhaustion is a backpressure condition --
 // the requester stays cold and retries, surfacing through the channel's
 // credit_stalls counter -- never a deadlock.
+//
+// Reconnect churn re-leases rings constantly, so zeroing is paid only where
+// the previous tenant wrote: release() records that dirty extent, acquire()
+// clears just it, and the pool itself is zero pages (ib::ZeroPages) that
+// never become resident until traffic lands in them.
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
 #include <cstring>
 #include <stdexcept>
 #include <vector>
+
+#include "ib/zero_pages.hpp"
 
 namespace ib {
 
@@ -28,7 +36,8 @@ class SharedRecvPool {
   void reset(std::size_t rings, std::size_t ring_bytes) {
     rings_ = rings;
     ring_bytes_ = ring_bytes;
-    storage_.assign(rings * ring_bytes, std::byte{0});
+    storage_ = ZeroPages(rings * ring_bytes);
+    dirty_.assign(rings, 0);
     free_.clear();
     free_.reserve(rings);
     // LIFO free list: the most recently released (cache-warm) lease is
@@ -41,25 +50,29 @@ class SharedRecvPool {
   bool configured() const noexcept { return rings_ > 0; }
 
   /// Leases one ring; returns its base pointer, or nullptr when the pool is
-  /// exhausted (caller backpressures).  The extent is zeroed -- a fresh
+  /// exhausted (caller backpressures).  The lease reads all zero -- a fresh
   /// lease must not replay a previous tenant's polling flags.
   std::byte* acquire() {
     if (free_.empty()) return nullptr;
     const std::size_t idx = free_.back();
     free_.pop_back();
     std::byte* base = storage_.data() + idx * ring_bytes_;
-    std::memset(base, 0, ring_bytes_);
+    std::memset(base, 0, dirty_[idx]);
+    dirty_[idx] = 0;
     ++leased_;
     if (leased_ > high_water_) high_water_ = leased_;
     return base;
   }
 
-  void release(std::byte* base) {
+  /// Returns a lease.  `dirty` bounds the prefix its tenant may have
+  /// written (clamped to the ring); only that prefix is zeroed on re-lease.
+  void release(std::byte* base, std::size_t dirty) {
     const std::size_t off = static_cast<std::size_t>(base - storage_.data());
     if (base == nullptr || off % ring_bytes_ != 0 ||
         off / ring_bytes_ >= rings_) {
       throw std::logic_error("SharedRecvPool: release of a foreign pointer");
     }
+    dirty_[off / ring_bytes_] = std::min(dirty, ring_bytes_);
     free_.push_back(off / ring_bytes_);
     --leased_;
   }
@@ -73,7 +86,9 @@ class SharedRecvPool {
  private:
   std::size_t rings_ = 0;
   std::size_t ring_bytes_ = 0;
-  std::vector<std::byte> storage_;
+  ZeroPages storage_;
+  /// Per ring: bytes from its base its last tenant may have written.
+  std::vector<std::size_t> dirty_;
   std::vector<std::size_t> free_;
   std::size_t leased_ = 0;
   std::size_t high_water_ = 0;

@@ -44,11 +44,14 @@ struct EndpointCard {
   std::vector<std::uint32_t> aux_qpns;
 };
 
-/// One side's half of a recovery re-handshake: the replacement QP and how
-/// much of the peer's stream it had consumed (the peer's replay start).
+/// One side's half of a recovery re-handshake: the replacement QP, how much
+/// of the peer's stream it had consumed (the peer's replay start), and the
+/// peer's write-rendezvous tokens whose open round it still awaits a FIN
+/// for (adaptive design) -- the only rounds the peer may re-write.
 struct RecoveryRecord {
   std::uint32_t qpn = 0;
   std::uint64_t consumed = 0;
+  std::vector<std::uint64_t> open_rounds;
 };
 
 /// A lazy-connect control message.  `consumed` is meaningful for kEvict

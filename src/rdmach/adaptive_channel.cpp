@@ -488,7 +488,7 @@ void AdaptiveChannel::handle_cts(AdaptiveConnection& c,
                               /*signaled=*/false});
     r.w_sent += m;
     const std::size_t fs = static_cast<std::size_t>(r.token % kFinSlots);
-    c.fin_src[2 * fs] = r.w_sent;
+    c.fin_src[2 * fs] = fin_word(c.rec.epoch, r.w_sent);
     std::size_t fin_w = sizeof(std::uint64_t);
     if (cfg_.integrity_check) {
       // The FIN carries the round's data CRC in the adjacent word; the
@@ -740,7 +740,9 @@ sim::Task<void> AdaptiveChannel::progress_inbound(AdaptiveConnection& c,
       }
     } else {
       const std::size_t fs = static_cast<std::size_t>(r.token % kFinSlots);
-      if (r.cts_open && c.fin_flags[2 * fs] >= r.expect) {
+      const std::uint64_t fin = c.fin_flags[2 * fs];
+      if (r.cts_open && (fin >> kFinEpochShift) >= r.fin_epoch &&
+          (fin & kFinProgressMask) >= r.expect) {
         if (cfg_.integrity_check) {
           const std::size_t m = r.expect - r.done;
           charge_crc(m);
@@ -887,11 +889,12 @@ sim::Task<std::size_t> AdaptiveChannel::get(Connection& conn,
                                             std::span<const Iov> iovs) {
   auto& c = static_cast<AdaptiveConnection&>(conn);
   co_await call_overhead();
+  const std::size_t want = total_length(iovs);
+  if (want > 0 && rx_quiet(c)) co_return 0;
   const bool wired = co_await ensure_rx(c);
   if (!wired) co_return 0;
   co_await maybe_recover(c);
 
-  const std::size_t want = total_length(iovs);
   std::size_t delivered = 0;
   bool stop = false;
 
@@ -1038,8 +1041,8 @@ sim::Task<bool> AdaptiveChannel::attach_rndv(Connection& conn,
 }
 
 sim::Task<void> AdaptiveChannel::replay(VerbsConnection& conn,
-                                        std::uint64_t peer_consumed) {
-  co_await PiggybackChannel::replay(conn, peer_consumed);
+                                        const pmi::RecoveryRecord& peer) {
+  co_await PiggybackChannel::replay(conn, peer);
   auto& c = static_cast<AdaptiveConnection&>(conn);
 
   // Aux QPs are not torn down with the main QP's epoch: a drained errored
@@ -1098,11 +1101,16 @@ sim::Task<void> AdaptiveChannel::replay(VerbsConnection& conn,
 
   // Outbound write rendezvous: the data and FIN writes of the open CTS
   // round were unsignaled; any of them may have died with the QP.  Re-write
-  // the whole round from the loaned source bytes -- bit-identical, so a
-  // duplicate is harmless -- and the FIN behind it.
+  // the whole round from the loaned source bytes, and the FIN behind it --
+  // but only rounds the receiver reported still open.  A duplicate of a
+  // round whose FIN the receiver has seen could land after it handed the
+  // sink back to its user.  A reported round is bit-identical to what may
+  // already be there, and the receiver closes it only on this epoch's FIN.
   for (auto& r : c.out) {
     if (r.proto != ProtocolSelector::Proto::kWrite || !r.cts_seen ||
-        r.w_sent == r.round_base) {
+        r.w_sent == r.round_base ||
+        std::find(peer.open_rounds.begin(), peer.open_rounds.end(),
+                  r.token) == peer.open_rounds.end()) {
       continue;
     }
     const std::size_t m = r.w_sent - r.round_base;
@@ -1120,7 +1128,7 @@ sim::Task<void> AdaptiveChannel::replay(VerbsConnection& conn,
                    r.w_rkey,
                    /*signaled=*/false});
     const std::size_t fs = static_cast<std::size_t>(r.token % kFinSlots);
-    c.fin_src[2 * fs] = r.w_sent;
+    c.fin_src[2 * fs] = fin_word(c.rec.epoch, r.w_sent);
     std::size_t fin_w = sizeof(std::uint64_t);
     if (cfg_.integrity_check) {
       // Fresh round CRC with the rewrite: if the original data write was
@@ -1140,6 +1148,17 @@ sim::Task<void> AdaptiveChannel::replay(VerbsConnection& conn,
     ++stats_.rndv_write.retries;
     stats_.retransmits += 2;
     stats_.replayed_bytes += m;
+  }
+}
+
+void AdaptiveChannel::recovery_report(VerbsConnection& conn,
+                                      std::uint64_t epoch,
+                                      pmi::RecoveryRecord& mine) {
+  auto& c = static_cast<AdaptiveConnection&>(conn);
+  for (auto& r : c.inq) {
+    if (r.read || !r.cts_open) continue;
+    mine.open_rounds.push_back(r.token);
+    r.fin_epoch = epoch;
   }
 }
 

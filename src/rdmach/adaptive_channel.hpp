@@ -71,6 +71,17 @@ struct AdaptiveAck {
 /// which is far below this, so a slot is always long retired before reuse.
 inline constexpr std::size_t kFinSlots = 64;
 
+/// A FIN word carries the round's progress (source bytes written so far) in
+/// its low kFinEpochShift bits and the sender's recovery epoch above them.
+/// Fault-free runs stay in epoch 0, so their FIN words are the plain
+/// progress values.
+inline constexpr unsigned kFinEpochShift = 40;
+inline constexpr std::uint64_t kFinProgressMask =
+    (std::uint64_t{1} << kFinEpochShift) - 1;
+constexpr std::uint64_t fin_word(std::uint64_t epoch, std::uint64_t progress) {
+  return epoch << kFinEpochShift | progress;
+}
+
 class AdaptiveConnection : public SlotConnection {
  public:
   // ---- sender side --------------------------------------------------------
@@ -151,6 +162,12 @@ class AdaptiveConnection : public SlotConnection {
     /// Start of the open round's sink window (integrity: the FIN-carried
     /// round CRC is verified over [round_dst, round_dst + expect - done)).
     std::byte* round_dst = nullptr;
+    /// Oldest sender epoch whose FIN may close the open round.  A recovery
+    /// record that reports the round open raises it to that epoch: the
+    /// sender then re-writes the round, so the round must wait for the
+    /// replayed FIN, never an older one -- otherwise the sink could be
+    /// handed back to the user while the replayed data is still on its way.
+    std::uint64_t fin_epoch = 0;
     // Integrity (read path): rolling CRC over the retired chunk prefix, the
     // RTS-advertised whole-message CRC, and whether it has been reproduced.
     std::uint32_t crc_state = 0;
@@ -208,6 +225,16 @@ class AdaptiveChannel : public PipelineChannel {
                              std::span<const Iov> iovs) override;
   sim::Task<std::size_t> put_pinned(Connection& conn,
                                     std::span<const ConstIov> iovs) override;
+  /// Quiet: no inbound rendezvous, no queued ack, no retired loan left to
+  /// release, no complete slot.
+  bool rx_quiet(Connection& conn) override {
+    auto& c = static_cast<AdaptiveConnection&>(conn);
+    return rx_quiet_if(c, [&] {
+      return c.inq.empty() && c.ack_queue.empty() &&
+             (c.segs.empty() || !c.segs.front().done) &&
+             peek_slot(c) == nullptr;
+    });
+  }
 
   /// Rendezvous lookahead (see channel.hpp): overlap up to half the ring's
   /// slots worth of rendezvous beyond the head -- each holds an RTS slot
@@ -237,7 +264,11 @@ class AdaptiveChannel : public PipelineChannel {
   /// outbound write rendezvous re-written -- data then FIN, both idempotent
   /// because the loaned source bytes are still stable.
   sim::Task<void> replay(VerbsConnection& c,
-                         std::uint64_t peer_consumed) override;
+                         const pmi::RecoveryRecord& peer) override;
+  /// Reports every inbound write round still awaiting its FIN (the
+  /// sender re-writes exactly those) and pins each to the new epoch's FIN.
+  void recovery_report(VerbsConnection& c, std::uint64_t epoch,
+                       pmi::RecoveryRecord& mine) override;
 
   /// Lazy-connect extras: the FIN-flag arrays and the read pipeline's aux
   /// QPs are built with the local half of the on-demand handshake (their

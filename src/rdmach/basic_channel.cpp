@@ -91,6 +91,8 @@ sim::Task<std::size_t> BasicChannel::get(Connection& conn,
                                          std::span<const Iov> iovs) {
   auto& c = static_cast<VerbsConnection&>(conn);
   co_await call_overhead();
+  const std::size_t want = total_length(iovs);
+  if (want > 0 && rx_quiet(c)) co_return 0;
   const bool wired = co_await ensure_rx(c);
   if (!wired) co_return 0;
   co_await maybe_recover(c);
@@ -101,7 +103,7 @@ sim::Task<std::size_t> BasicChannel::get(Connection& conn,
       cfg_.integrity_check ? verify_incoming(c) : c.ctrl.head_replica;
   const std::uint64_t tail = c.ctrl.tail_master;
   const std::size_t avail = static_cast<std::size_t>(head - tail);
-  const std::size_t n = std::min(avail, total_length(iovs));
+  const std::size_t n = std::min(avail, want);
   if (n == 0) co_return 0;
 
   // 2. Copy out of the shared ring.
@@ -152,7 +154,8 @@ std::uint64_t BasicChannel::verify_incoming(VerbsConnection& c) {
 }
 
 sim::Task<void> BasicChannel::replay(VerbsConnection& c,
-                                     std::uint64_t peer_consumed) {
+                                     const pmi::RecoveryRecord& peer) {
+  const std::uint64_t peer_consumed = peer.consumed;
   // In-flight tail updates died with the old QP; the handshake watermark
   // is at least as fresh (the quiesce before publishing guarantees every
   // old-epoch write had landed when the peer read it).

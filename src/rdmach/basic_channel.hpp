@@ -24,6 +24,14 @@ class BasicChannel : public VerbsChannelBase {
                              std::span<const ConstIov> iovs) override;
   sim::Task<std::size_t> get(Connection& conn,
                              std::span<const Iov> iovs) override;
+  /// Quiet: the head replica has not moved past the tail.  With integrity
+  /// on, reading the head means verifying the stream, so never quiet.
+  bool rx_quiet(Connection& conn) override {
+    auto& c = static_cast<VerbsConnection&>(conn);
+    return rx_quiet_if(c, [&] {
+      return !cfg_.integrity_check && c.ctrl.head_replica == c.ctrl.tail_master;
+    });
+  }
 
  protected:
   std::unique_ptr<VerbsConnection> make_connection() override {
@@ -36,7 +44,7 @@ class BasicChannel : public VerbsChannelBase {
   /// refreshes the remote head replica; resyncs the local tail replica
   /// forward to the watermark the peer published.
   sim::Task<void> replay(VerbsConnection& c,
-                         std::uint64_t peer_consumed) override;
+                         const pmi::RecoveryRecord& peer) override;
 
  private:
   /// Integrity path of get(): extends the verified incoming prefix by

@@ -590,6 +590,32 @@ class Channel {
     co_return co_await get(conn, std::span<const Iov>(&iov, 1));
   }
 
+  // ---- quiet visit (framing layers' idle-peer fast path) ------------------
+  /// Most progress-pass polls of a connection find nothing to deliver, yet
+  /// a full get() builds several coroutine frames to say so.  A framing
+  /// layer may instead pay get()'s per-call charge itself and ask
+  /// rx_quiet(); virtual time is the same as calling get() directly:
+  ///
+  ///   if (ch.plain_charge()) {
+  ///     co_await sim.delay(kPerCallOverhead);
+  ///     if (!ch.rx_quiet(conn)) { ch.waive_charge(); co_await ch.get(...); }
+  ///   }
+  ///
+  /// plain_charge(): the next put/get's per-call charge is exactly
+  /// kPerCallOverhead of CPU time, with no deferred cost queued in front of
+  /// it.  False (the default) for designs without the fast path.
+  virtual bool plain_charge() const { return false; }
+  /// The synchronous step every design's get() takes right after its
+  /// per-call charge (for a nonzero request): true when get() would then
+  /// deliver nothing and post nothing -- and everything it would have done
+  /// on the way (CQ drain, LRU touch) is done.  get() starts with this same
+  /// predicate, so "quiet" has one definition.  False never has effects
+  /// that a following get() would repeat differently.
+  virtual bool rx_quiet(Connection& /*conn*/) { return false; }
+  /// The caller already paid the next get()'s per-call charge (it found
+  /// rx_quiet() false after charging): waive that charge once.
+  virtual void waive_charge() {}
+
   // ---- sparse progress (rank-dimension scaling) ---------------------------
   /// Peers with live channel state, sorted ascending -- the set a progress
   /// loop must visit.  nullptr (the default, and always for eager

@@ -189,11 +189,12 @@ sim::Task<std::size_t> PiggybackChannel::get(Connection& conn,
                                              std::span<const Iov> iovs) {
   auto& c = static_cast<SlotConnection&>(conn);
   co_await call_overhead();
+  const std::size_t want = total_length(iovs);
+  if (want > 0 && rx_quiet(c)) co_return 0;
   const bool wired = co_await ensure_rx(c);
   if (!wired) co_return 0;
   co_await maybe_recover(c);
 
-  const std::size_t want = total_length(iovs);
   std::size_t delivered = 0;
   while (delivered < want) {
     const SlotHeader* hdr = peek_slot(c);
@@ -220,7 +221,8 @@ std::uint64_t PiggybackChannel::journal_consumed(
 }
 
 sim::Task<void> PiggybackChannel::replay(VerbsConnection& conn,
-                                         std::uint64_t peer_consumed) {
+                                         const pmi::RecoveryRecord& peer) {
+  const std::uint64_t peer_consumed = peer.consumed;
   auto& c = static_cast<SlotConnection&>(conn);
   // In-flight explicit/piggybacked tail updates died with the old QP; the
   // handshake watermark supersedes them.

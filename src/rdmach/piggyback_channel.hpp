@@ -108,6 +108,11 @@ class PiggybackChannel : public VerbsChannelBase {
                              std::span<const ConstIov> iovs) override;
   sim::Task<std::size_t> get(Connection& conn,
                              std::span<const Iov> iovs) override;
+  /// Quiet: no complete slot at the consume point.
+  bool rx_quiet(Connection& conn) override {
+    auto& c = static_cast<SlotConnection&>(conn);
+    return rx_quiet_if(c, [&] { return peek_slot(c) == nullptr; });
+  }
 
   std::size_t slot_count() const noexcept {
     return cfg_.ring_bytes / cfg_.chunk_bytes;
@@ -188,6 +193,16 @@ class PiggybackChannel : public VerbsChannelBase {
     post_tail_update(sc);
     sc.consumed_since_update = 0;
   }
+  /// Slots are written from index 0 up, one chunk each, in staging (sent)
+  /// and in the receive ring (the peer's sent, bounded by consumed on a
+  /// drained connection); past one wrap, everything.
+  std::size_t ring_dirty_bytes(const VerbsConnection& c) const override {
+    const auto& sc = static_cast<const SlotConnection&>(c);
+    const std::uint64_t slots = std::max(sc.slots_sent, sc.slots_consumed);
+    return static_cast<std::size_t>(
+               std::min<std::uint64_t>(slots, slot_count())) *
+           cfg_.chunk_bytes;
+  }
   /// A re-connected peer starts from slot 0 in a zeroed ring.
   void lazy_reset_journal(VerbsConnection& c) override {
     auto& sc = static_cast<SlotConnection&>(c);
@@ -202,7 +217,7 @@ class PiggybackChannel : public VerbsChannelBase {
   /// length is recovered from its staged header -- and resyncs both local
   /// views of the peer's consumption forward.
   sim::Task<void> replay(VerbsConnection& c,
-                         std::uint64_t peer_consumed) override;
+                         const pmi::RecoveryRecord& peer) override;
 
   bool pipelined_;
 };

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
+#include <cstring>
 #include <stdexcept>
 #include <string>
 
@@ -64,9 +65,9 @@ sim::Task<void> VerbsChannelBase::init() {
     auto conn = make_connection();
     conn->peer = p;
     conn->rail_failed.assign(static_cast<std::size_t>(num_rails_), 0);
-    conn->recv_ring.assign(cfg_.ring_bytes, std::byte{0});
+    conn->recv_ring = ib::ZeroPages(cfg_.ring_bytes);
     conn->rx = conn->recv_ring.data();
-    conn->staging.assign(cfg_.ring_bytes, std::byte{0});
+    conn->staging = ib::ZeroPages(cfg_.ring_bytes);
     conn->ring_mr = co_await pd_->register_memory(
         conn->recv_ring.data(), conn->recv_ring.size(), ib::kAllAccess);
     conn->staging_mr = co_await pd_->register_memory(
@@ -200,7 +201,7 @@ sim::Task<void> VerbsChannelBase::finalize() {
     if (c->staging_mr != nullptr) co_await pd_->deregister(c->staging_mr);
     if (c->ctrl_mr != nullptr) co_await pd_->deregister(c->ctrl_mr);
     if (c->ring_pooled) {
-      srq_pool_.release(c->rx);
+      srq_pool_.release(c->rx, ring_dirty_bytes(*c));
       c->ring_pooled = false;
       c->rx = nullptr;
     }
@@ -700,8 +701,9 @@ sim::Task<void> VerbsChannelBase::recover(VerbsConnection& c) {
     // how much of the peer's stream I had consumed (its replay start).
     if (!c.qp->port().up()) note_rail_dead(c, c.qp->port().rail());
     c.qp = &create_rail_qp(lowest_live_rail());
-    kvs.post_recovery(rank(), c.peer, next_epoch,
-                      pmi::RecoveryRecord{c.qp->qp_num(), journal_consumed(c)});
+    pmi::RecoveryRecord mine{c.qp->qp_num(), journal_consumed(c), {}};
+    recovery_report(c, next_epoch, mine);
+    kvs.post_recovery(rank(), c.peer, next_epoch, std::move(mine));
   }
   wake_peer(c);
 
@@ -769,7 +771,7 @@ sim::Task<void> VerbsChannelBase::recover(VerbsConnection& c) {
   c.rec.last_synced = peer_consumed;
   c.rec.last_synced_local = local_consumed;
 
-  co_await replay(c, peer_consumed);
+  co_await replay(c, peer);
 }
 
 sim::Task<void> VerbsChannelBase::lazy_setup_extra(VerbsConnection&,
@@ -852,14 +854,14 @@ sim::Task<bool> VerbsChannelBase::lazy_setup_local(VerbsConnection& c) {
     ring_addr = reinterpret_cast<std::uint64_t>(lease);
     ring_rkey = srq_mr_->rkey();
   } else {
-    c.recv_ring.assign(cfg_.ring_bytes, std::byte{0});
+    c.recv_ring = take_ring();
     c.rx = c.recv_ring.data();
     c.ring_mr = co_await pd_->register_memory(c.rx, cfg_.ring_bytes,
                                               ib::kAllAccess);
     ring_addr = reinterpret_cast<std::uint64_t>(c.rx);
     ring_rkey = c.ring_mr->rkey();
   }
-  c.staging.assign(cfg_.ring_bytes, std::byte{0});
+  c.staging = take_ring();
   c.staging_mr = co_await pd_->register_memory(c.staging.data(),
                                                c.staging.size(),
                                                ib::kAllAccess);
@@ -949,7 +951,23 @@ sim::Task<void> VerbsChannelBase::lazy_advance(VerbsConnection& c) {
   lz_touch(c);
 }
 
+ib::ZeroPages VerbsChannelBase::take_ring() {
+  if (free_rings_.empty()) return ib::ZeroPages(cfg_.ring_bytes);
+  FreeRing f = std::move(free_rings_.back());
+  free_rings_.pop_back();
+  std::memset(f.mem.data(), 0, f.dirty);
+  return std::move(f.mem);
+}
+
+void VerbsChannelBase::give_ring(ib::ZeroPages mem, std::size_t dirty) {
+  if (mem.data() == nullptr) return;
+  dirty = std::min(dirty, mem.size());
+  free_rings_.push_back(FreeRing{std::move(mem), dirty});
+}
+
 sim::Task<void> VerbsChannelBase::lazy_teardown(VerbsConnection& c) {
+  // Read before the journal resets below.
+  const std::size_t dirty = ring_dirty_bytes(c);
   if (c.qp != nullptr) {
     // close + quiesce: after this, nothing this half ever posted can still
     // land in peer memory (the same precondition recovery relies on).
@@ -967,15 +985,15 @@ sim::Task<void> VerbsChannelBase::lazy_teardown(VerbsConnection& c) {
     c.ctrl_mr = nullptr;
   }
   if (c.ring_pooled) {
-    srq_pool_.release(c.rx);
+    srq_pool_.release(c.rx, dirty);
     c.ring_pooled = false;
   } else if (c.ring_mr != nullptr) {
     co_await pd_->deregister(c.ring_mr);
   }
   c.ring_mr = nullptr;
   c.rx = nullptr;
-  std::vector<std::byte>().swap(c.recv_ring);
-  std::vector<std::byte>().swap(c.staging);
+  give_ring(std::move(c.recv_ring), dirty);
+  give_ring(std::move(c.staging), dirty);
   // The journal restarts from zero on both sides symmetrically; eviction
   // only ever fires on a fully-drained, fully-acknowledged connection, so
   // this loses bookkeeping, not data.

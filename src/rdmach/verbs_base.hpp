@@ -33,6 +33,7 @@
 #include "ib/node.hpp"
 #include "ib/qp.hpp"
 #include "ib/srq.hpp"
+#include "ib/zero_pages.hpp"
 #include "rdmach/channel.hpp"
 
 namespace rdmach {
@@ -69,8 +70,8 @@ inline constexpr std::size_t kCtrlTailMasterOff = 48;
 class VerbsConnection : public Connection {
  public:
   ib::QueuePair* qp = nullptr;
-  std::vector<std::byte> recv_ring;  // peer RDMA-writes message data here
-  std::vector<std::byte> staging;    // preregistered send-side copy buffer
+  ib::ZeroPages recv_ring;  // peer RDMA-writes message data here
+  ib::ZeroPages staging;    // preregistered send-side copy buffer
   CtrlBlock ctrl;
   ib::MemoryRegion* ring_mr = nullptr;
   ib::MemoryRegion* staging_mr = nullptr;
@@ -195,6 +196,11 @@ class VerbsChannelBase : public Channel {
   /// Services the lazy-connect mailbox (join requests, evict handshakes)
   /// once per progress pass; no-op with lazy_connect off.
   sim::Task<void> pre_progress() override;
+
+  /// Quiet visit (channel.hpp): the per-call charge is plain unless a
+  /// modelled CRC cost is waiting to be flushed in front of it.
+  bool plain_charge() const override { return pending_crc_bytes_ == 0; }
+  void waive_charge() override { charge_waived_ = true; }
 
   ib::ProtectionDomain& pd() const noexcept { return *pd_; }
   ib::CompletionQueue& cq() const noexcept { return *cq_; }
@@ -419,12 +425,18 @@ class VerbsChannelBase : public Channel {
     return c.ctrl.head_master;
   }
   /// Re-posts, onto the freshly connected QP, everything past the peer's
-  /// acknowledged watermark: journalled ring state from `staging`, plus any
-  /// design-specific in-flight control traffic (e.g. an interrupted
-  /// zero-copy rendezvous).  Must be idempotent: replayed units may
-  /// duplicate data the peer already holds bit-for-bit.
+  /// acknowledged watermark (`peer.consumed`): journalled ring state from
+  /// `staging`, plus any design-specific in-flight control traffic (e.g.
+  /// an interrupted zero-copy rendezvous).  Must be idempotent: replayed
+  /// units may duplicate data the peer already holds bit-for-bit -- but
+  /// only into memory the peer has not handed back to its user.
   virtual sim::Task<void> replay(VerbsConnection& c,
-                                 std::uint64_t peer_consumed) = 0;
+                                 const pmi::RecoveryRecord& peer) = 0;
+  /// Adds design state to my half of the `epoch` handshake as it is
+  /// posted (after my QP quiesced).  Default: nothing.
+  virtual void recovery_report(VerbsConnection& /*c*/,
+                               std::uint64_t /*epoch*/,
+                               pmi::RecoveryRecord& /*mine*/) {}
   /// Entry hook for put/get: raises ChannelError if the connection is dead,
   /// otherwise runs the recovery loop until the connection is clean.  Free
   /// of posts and virtual time on the fault-free path.
@@ -477,6 +489,14 @@ class VerbsChannelBase : public Channel {
   /// Design veto on tearing down `c` (in-flight rendezvous, pending
   /// zero-copy acknowledgements, open CTS rounds...).
   virtual bool lazy_evictable(const VerbsConnection&) const { return true; }
+  /// Bytes from the ring base that `c`'s current generation may have
+  /// written, in its staging buffer and in its receive ring alike (both
+  /// are addressed by the same offsets).  Read at lazy teardown, before
+  /// the journal resets, so a reused buffer is zeroed only that far.
+  /// Default: the whole ring.
+  virtual std::size_t ring_dirty_bytes(const VerbsConnection&) const {
+    return cfg_.ring_bytes;
+  }
   /// Zeroes design-specific journal counters at lazy teardown; the ctrl
   /// block itself is reset by the base.  Only fully-drained connections are
   /// ever torn down, so this is bookkeeping, not data loss.
@@ -498,10 +518,35 @@ class VerbsChannelBase : public Channel {
   virtual sim::Task<void> lazy_evict_extra(VerbsConnection& c);
 
   /// Charges the per-call software overhead, flushing any modelled CRC
-  /// cost accumulated since the last coroutine point first.
+  /// cost accumulated since the last coroutine point first.  A charge the
+  /// caller already paid (waive_charge) is skipped once.
   sim::Task<void> call_overhead() {
+    if (charge_waived_) {
+      charge_waived_ = false;
+      co_return;
+    }
     if (pending_crc_bytes_ > 0) co_await flush_crc_charge();
     co_await node().compute(kPerCallOverhead);
+  }
+
+  /// The part of rx_quiet every design shares: ensure_rx + maybe_recover
+  /// on a wired connection with nothing to service -- lazy control plane
+  /// idle and `c` wired, then drain_cq, then no dead / pair-dead /
+  /// obituary / failed / NACK / peer-epoch condition -- followed by the
+  /// design's own `idle` check.  Only a quiet connection is LRU-touched, so
+  /// a false answer leaves ensure_rx's touch to the get() that follows.
+  template <class Idle>
+  bool rx_quiet_if(VerbsConnection& c, Idle idle) {
+    if (cfg_.lazy_connect && (!lazy_idle() || !lazy_wired(c))) return false;
+    drain_cq();
+    if (c.rec.dead || c.rec.failed || c.integrity_failed ||
+        ctx_->kvs->pair_dead(c.peer, rank()) ||
+        (cfg_.ft_detector && peer_obituaried(c)) || peer_epoch_pending(c) ||
+        !idle()) {
+      return false;
+    }
+    if (cfg_.lazy_connect) lz_touch(c);
+    return true;
   }
 
   // ---- end-to-end integrity ----------------------------------------------
@@ -595,6 +640,12 @@ class VerbsChannelBase : public Channel {
   sim::Task<bool> lazy_setup_local(VerbsConnection& c);
   /// Tears down a drained connection back to kCold and bumps lz_gen.
   sim::Task<void> lazy_teardown(VerbsConnection& c);
+  /// A ring-sized buffer reading all zero: the most recently freed one
+  /// (its dirty extent cleared), else fresh zero pages.
+  ib::ZeroPages take_ring();
+  /// Keeps a torn-down ring-sized buffer for reuse; its tenant wrote at
+  /// most the first `dirty` bytes.
+  void give_ring(ib::ZeroPages mem, std::size_t dirty);
   /// Starts one LRU eviction handshake when the wired set exceeds
   /// qp_budget and a fully-drained victim exists.
   sim::Task<void> lazy_maybe_evict();
@@ -631,10 +682,19 @@ class VerbsChannelBase : public Channel {
   std::uint64_t wr_seq_ = 0;
   /// Modelled CRC cost not yet charged to the memory bus.
   std::size_t pending_crc_bytes_ = 0;
+  /// The next call_overhead() was paid by the caller (waive_charge).
+  bool charge_waived_ = false;
 
   // ---- lazy connect / connection cache state ------------------------------
   ib::SharedRecvPool srq_pool_;
   ib::MemoryRegion* srq_mr_ = nullptr;
+  /// Staging buffers and dedicated receive rings released by lazy
+  /// teardown, with each one's dirty extent; take_ring reuses them LIFO.
+  struct FreeRing {
+    ib::ZeroPages mem;
+    std::size_t dirty = 0;
+  };
+  std::vector<FreeRing> free_rings_;
   /// Wired peers (kReady/kEvictWait), ascending -- the progress engine's
   /// iteration set and the eviction scan's domain (bounded by qp_budget+1).
   std::vector<int> active_;

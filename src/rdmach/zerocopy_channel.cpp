@@ -188,11 +188,12 @@ sim::Task<std::size_t> ZeroCopyChannel::get(Connection& conn,
                                             std::span<const Iov> iovs) {
   auto& c = static_cast<SlotConnection&>(conn);
   co_await call_overhead();
+  const std::size_t want = total_length(iovs);
+  if (want > 0 && rx_quiet(c)) co_return 0;
   const bool wired = co_await ensure_rx(c);
   if (!wired) co_return 0;
   co_await maybe_recover(c);
 
-  const std::size_t want = total_length(iovs);
   std::size_t delivered = 0;
 
   while (true) {
@@ -301,8 +302,8 @@ sim::Task<std::size_t> ZeroCopyChannel::get(Connection& conn,
 }
 
 sim::Task<void> ZeroCopyChannel::replay(VerbsConnection& conn,
-                                        std::uint64_t peer_consumed) {
-  co_await PiggybackChannel::replay(conn, peer_consumed);
+                                        const pmi::RecoveryRecord& peer) {
+  co_await PiggybackChannel::replay(conn, peer);
   auto& c = static_cast<SlotConnection&>(conn);
   // An RTS or ack slot in flight when the QP died is an ordinary unconsumed
   // slot, already re-posted above -- the rendezvous control packet is

@@ -46,6 +46,13 @@ class ZeroCopyChannel : public PipelineChannel {
                              std::span<const ConstIov> iovs) override;
   sim::Task<std::size_t> get(Connection& conn,
                              std::span<const Iov> iovs) override;
+  /// Quiet: no inbound rendezvous, no ack owed, no complete slot.
+  bool rx_quiet(Connection& conn) override {
+    auto& c = static_cast<SlotConnection&>(conn);
+    return rx_quiet_if(c, [&] {
+      return !c.r_rndv_active && !c.ack_pending && peek_slot(c) == nullptr;
+    });
+  }
 
   RegCache& reg_cache() noexcept { return *cache_; }
 
@@ -55,7 +62,7 @@ class ZeroCopyChannel : public PipelineChannel {
   /// teardown), re-acquired, and the read re-posted on the fresh QP at the
   /// same offset.
   sim::Task<void> replay(VerbsConnection& c,
-                         std::uint64_t peer_consumed) override;
+                         const pmi::RecoveryRecord& peer) override;
 
   /// Rendezvous state (pinned source buffer, in-flight RDMA read, deferred
   /// ack) lives outside the slot journal, so a connection mid-rendezvous

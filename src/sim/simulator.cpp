@@ -100,6 +100,10 @@ void Simulator::drain(Tick limit, bool bounded) {
 
 void Simulator::run() {
   drain(0, /*bounded=*/false);
+  raise_if_stuck();
+}
+
+void Simulator::raise_if_stuck() {
   if (failed_ != nullptr) {
     ProcessState* f = failed_;
     failed_ = nullptr;
@@ -113,7 +117,7 @@ void Simulator::run() {
       throw ProcessError(f->name, "unknown exception");
     }
   }
-  if (std::size_t live = live_root_processes(); live != 0) {
+  if (std::size_t live = live_root_processes(); live != 0 && queue_.empty()) {
     std::string who;
     for (const auto& p : processes_) {
       if (!p->daemon && !p->finished) {

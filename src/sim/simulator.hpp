@@ -98,8 +98,15 @@ class Simulator {
   void run();
 
   /// Runs events with timestamp <= t, then stops (clock advances to t).
-  /// Does not perform the deadlock check.  Returns the final clock.
+  /// Also stops early, silently, when a root process fails.  Does not
+  /// perform the deadlock check.  Returns the final clock.
   Tick run_until(Tick t);
+
+  /// run()'s end-of-run checks, callable after run_until: throws
+  /// ProcessError if a root process failed (run_until stopped there),
+  /// DeadlockError if the queue is empty while root processes are still
+  /// blocked; otherwise returns.
+  void raise_if_stuck();
 
   std::size_t events_processed() const noexcept { return events_processed_; }
   std::size_t live_root_processes() const noexcept;

@@ -258,7 +258,8 @@ TEST(NasFaultCampaign, SeededCampaignSoakTerminatesCleanOnEveryDesign) {
     const benchutil::CampaignOutcome r = benchutil::run_nas_campaign(
         "is", 4, nas::Class::S, cfg, &campaign, fabric,
         /*deadline=*/sim::usec(30'000'000));
-    ASSERT_FALSE(r.wedged) << "seed " << seed << " design "
+    ASSERT_FALSE(r.wedged) << benchutil::wedge_reason(r) << ": seed " << seed
+                           << " design "
                            << rdmach::to_string(design);
     ASSERT_TRUE(r.completed) << "seed " << seed;
     if (r.errors == 0) {

@@ -5,6 +5,8 @@
 // quarantine) under differential oracle checks.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -480,6 +482,86 @@ TEST(GrayFailure, ArmedButFaultFreeDetectorChangesNothing) {
   EXPECT_EQ(b.stats.rail_quarantines, 0u);
   EXPECT_EQ(b.stats.false_suspicions, 0u);
   EXPECT_EQ(b.stats.degraded_ns, 0u);
+}
+
+// ---------------------------------------------------------------------------
+// Adaptive write-rendezvous replay never lands in a completed receive.
+// ---------------------------------------------------------------------------
+
+// The sender's QP dies after a write round's data and FIN have landed but
+// before the receiver polled them.  Both ranks then recover, and the
+// receiver completes the message.  A replayed copy of the round must not
+// land after that: the receiver has handed its buffer back (here it writes
+// a sentinel over it at once).  Had the buffer been freed, the copy would
+// be a write into freed memory.
+TEST(AdaptiveReplay, LandedRoundIsNeverRewrittenIntoACompletedReceive) {
+  constexpr std::size_t kBig = 64 * 1024;  // mid band: write rendezvous
+  constexpr std::size_t kSmall = 64;
+  constexpr std::byte kSentinel{0xA5};
+  sim::Simulator sim;
+  ib::Fabric fabric(sim);
+  // Rank 0's WQEs: RTS slot, round data, round FIN, then the slot of the
+  // small message sent once the round has landed -- the one killed.
+  FaultPlan plan;
+  plan.kill(0, 3);
+  fabric.attach_faults(&plan.schedule);
+  pmi::Job job(fabric, 2);
+  rdmach::ChannelConfig cfg;
+  cfg.design = rdmach::Design::kAdaptive;
+  const Traffic msg = Traffic::make(0xADA7, 1, kBig, kBig);
+  std::vector<std::byte> small(kSmall, std::byte{0x3C});
+  std::vector<std::byte> got(kBig);
+  std::vector<std::byte> got_small(kSmall);
+  bool sentinel_intact = false;
+  std::unique_ptr<rdmach::Channel> chans[2];
+  job.launch([&](pmi::Context& ctx) -> sim::Task<void> {
+    chans[ctx.rank] = rdmach::Channel::create(ctx, cfg);
+    auto& ch = *chans[ctx.rank];
+    co_await ch.init();
+    auto& conn = ch.connection(1 - ctx.rank);
+    if (ctx.rank == 0) {
+      const rdmach::ConstIov big{msg.bytes.data(), kBig};
+      const std::size_t k = co_await ch.put_pinned(
+          conn, std::span<const rdmach::ConstIov>(&big, 1));
+      EXPECT_EQ(k, kBig);
+      // Poll until the CTS is answered: the round's data and FIN go out.
+      for (;;) {
+        const std::uint64_t gen = ch.activity_count();
+        co_await ch.put_pinned(conn, {});
+        if (ch.stats().rails[0].bytes >= kBig) break;
+        if (ch.activity_count() == gen) co_await ch.wait_for_activity();
+      }
+      co_await sim.delay(sim::usec(200));  // both have landed by now
+      const rdmach::ConstIov tail{small.data(), kSmall};
+      co_await ch.put_pinned(conn, std::span<const rdmach::ConstIov>(&tail, 1));
+      for (;;) {
+        const std::uint64_t gen = ch.activity_count();
+        co_await ch.put_pinned(conn, {});
+        if (ch.put_released(conn) == ch.put_accepted(conn)) break;
+        if (ch.activity_count() == gen) co_await ch.wait_for_activity();
+      }
+    } else {
+      // One poll answers the RTS with a CTS; then this rank sleeps through
+      // the round's data and FIN and through the sender's QP death.
+      co_await sim.delay(sim::usec(30));
+      const std::size_t k = co_await ch.get(conn, got.data(), kBig);
+      EXPECT_EQ(k, 0u);
+      co_await sim.delay(sim::usec(2000));
+      co_await recv_all(ch, conn, got.data(), kBig);
+      EXPECT_EQ(got, msg.bytes);
+      std::fill(got.begin(), got.end(), kSentinel);
+      co_await recv_all(ch, conn, got_small.data(), kSmall);
+      EXPECT_EQ(got_small, small);
+      co_await sim.delay(sim::usec(1000));  // anything in flight lands
+      sentinel_intact = std::all_of(got.begin(), got.end(), [&](std::byte b) {
+        return b == kSentinel;
+      });
+    }
+    co_await ch.finalize();
+  });
+  sim.run();
+  EXPECT_GE(chans[0]->stats().recoveries, 1u);
+  EXPECT_TRUE(sentinel_intact);
 }
 
 }  // namespace

@@ -1,13 +1,15 @@
 // Scalability suite (`scale` ctest label): on-demand (lazy) connection
 // establishment, the LRU connection cache under qp_budget, SRQ-style
 // shared receive-ring pooling, kill-faults against cold/evicted peers,
-// and the DES hot-path pooling counters.
+// the DES hot-path pooling counters, and the host fast paths that must not
+// move virtual time (the quiet progress visit, ring memory reuse).
 //
 // The oracle throughout is the eager (lazy_connect off) configuration:
 // every lazy/budgeted/pooled run must deliver the identical byte streams,
 // differing only in its connection-plane statistics.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
 #include <functional>
 #include <memory>
@@ -16,6 +18,8 @@
 
 #include "channel_test_util.hpp"
 #include "ib/fabric.hpp"
+#include "ib/srq.hpp"
+#include "mpi/runtime.hpp"
 #include "pmi/pmi.hpp"
 #include "rdmach/channel.hpp"
 #include "sim/rng.hpp"
@@ -703,6 +707,228 @@ TEST(SimCounters, EventAndPoolStatsTrackAHotRun) {
   EXPECT_GT(st.pool_hits, st.pool_misses)
       << "buffer pool is not recycling -- hot path regressed to per-op "
          "allocation";
+}
+
+// ---------------------------------------------------------------------------
+// Quiet visit (Channel::plain_charge / rx_quiet) and ring memory reuse
+// ---------------------------------------------------------------------------
+
+/// One row of the quiet-visit truth table: whether a progress pass could
+/// settle `conn` with the fast path (plain charge, then rx_quiet).
+struct QuietRow {
+  std::string row;
+  bool quiet;
+};
+
+QuietRow quiet_row(Channel& ch, Connection& conn, std::string row) {
+  const bool quiet = ch.plain_charge() && ch.rx_quiet(conn);
+  return QuietRow{std::move(row), quiet};
+}
+
+void expect_rows(const std::vector<QuietRow>& got,
+                 const std::vector<QuietRow>& want) {
+  ASSERT_EQ(got.size(), want.size());
+  for (std::size_t i = 0; i < want.size(); ++i) {
+    EXPECT_EQ(got[i].row, want[i].row);
+    EXPECT_EQ(got[i].quiet, want[i].quiet) << want[i].row;
+  }
+}
+
+TEST(QuietVisit, TruthTableOnALazyZeroCopyConnection) {
+  // Rank 1 watches its connection to rank 0 while rank 0 (and rank 2, for
+  // the lazy mailbox) set up one condition at a time.  Sleeps put each
+  // condition in place before rank 1 looks; sends order the phases.
+  constexpr std::size_t kSmall = 100;
+  constexpr std::size_t kBig = 64 * 1024;  // zero-copy rendezvous
+  ChannelConfig cfg;
+  cfg.lazy_connect = true;
+  Fleet fleet(3, cfg);
+  std::vector<QuietRow> rows;
+  std::size_t filled = 0;  // slots rank 1 filled toward rank 0 (last phase)
+  const std::vector<std::byte> small = pattern(kSmall, 1);
+  const std::vector<std::byte> big = pattern(kBig, 2);
+  fleet.run([&](pmi::Context& ctx, Channel& ch) -> sim::Task<void> {
+    sim::Simulator& sim = ctx.sim();
+    std::byte b{0x42};
+    std::vector<std::byte> buf(kBig);
+    if (ctx.rank == 0) {
+      Connection& c1 = ch.connection(1);
+      co_await send_all(ch, c1, small.data(), kSmall);
+      co_await recv_all(ch, c1, &b, 1);
+      co_await send_all(ch, c1, small.data(), kSmall);  // ready slot
+      co_await recv_all(ch, c1, &b, 1);                 // "go"
+      co_await send_all(ch, c1, big.data(), kBig);      // rendezvous
+      co_await recv_all(ch, c1, &b, 1);                 // "go"
+      // One put posts the RTS; the ack stays owed while rank 1's ring
+      // toward this rank is full, until this rank reads it at 6 ms.
+      std::size_t k = co_await ch.put(c1, big.data(), kBig);
+      EXPECT_EQ(k, 0u);
+      co_await sim.delay_until(sim::usec(6000));
+      co_await recv_all(ch, c1, buf.data(), filled);
+      co_await send_all(ch, c1, big.data(), kBig);  // completes on the ack
+      co_await send_all(ch, c1, &b, 1);
+    } else if (ctx.rank == 1) {
+      Connection& c0 = ch.connection(0);
+      co_await recv_all(ch, c0, buf.data(), kSmall);
+      co_await send_all(ch, c0, &b, 1);
+      rows.push_back(quiet_row(ch, c0, "idle wired"));
+      co_await sim.delay(sim::usec(100));
+      rows.push_back(quiet_row(ch, c0, "ready slot"));
+      co_await recv_all(ch, c0, buf.data(), kSmall);
+      rows.push_back(quiet_row(ch, c0, "slot consumed"));
+      co_await sim.delay_until(sim::usec(2000));  // rank 2 mailed at 1 ms
+      rows.push_back(quiet_row(ch, c0, "unread lazy mail"));
+      co_await recv_all(ch, ch.connection(2), buf.data(), kSmall);
+      rows.push_back(quiet_row(ch, c0, "mail served"));
+      co_await send_all(ch, c0, &b, 1);
+      co_await sim.delay(sim::usec(100));
+      const std::size_t k = co_await ch.get(c0, buf.data(), kBig);
+      EXPECT_EQ(k, 0u);  // the RDMA read is in flight
+      rows.push_back(quiet_row(ch, c0, "active rendezvous"));
+      co_await recv_all(ch, c0, buf.data(), kBig);
+      co_await send_all(ch, c0, &b, 1);
+      co_await sim.delay(sim::usec(100));
+      // Fill the ring toward rank 0, then complete its rendezvous: the
+      // ack finds no free slot.
+      while (co_await ch.put(c0, &b, 1) == 1) ++filled;
+      co_await recv_all(ch, c0, buf.data(), kBig);
+      rows.push_back(quiet_row(ch, c0, "pending ack"));
+      co_await recv_all(ch, c0, &b, 1);
+      rows.push_back(quiet_row(ch, c0, "drained"));
+    } else {
+      co_await sim.delay_until(sim::usec(1000));
+      co_await send_all(ch, ch.connection(1), small.data(), kSmall);
+    }
+  });
+  ASSERT_TRUE(fleet.all_done());
+  EXPECT_GT(filled, 0u);
+  expect_rows(rows, {{"idle wired", true},
+                     {"ready slot", false},
+                     {"slot consumed", true},
+                     {"unread lazy mail", false},
+                     {"mail served", true},
+                     {"active rendezvous", false},
+                     {"pending ack", false},
+                     {"drained", true}});
+}
+
+TEST(QuietVisit, RecoveryPendingAndCrcChargeAreNotQuiet) {
+  // Integrity on; rank 0's first slot write is killed.  Rank 1 sleeps
+  // while rank 0 notices and posts its half of the re-handshake.
+  constexpr std::size_t kLen = 100;
+  ChannelConfig cfg;
+  cfg.integrity_check = true;
+  FaultPlan plan;
+  plan.kill(0, 0);
+  Fleet fleet(2, cfg, &plan);
+  std::vector<QuietRow> rows;
+  const std::vector<std::byte> msg = pattern(kLen, 3);
+  std::vector<std::byte> got(kLen);
+  fleet.run([&](pmi::Context& ctx, Channel& ch) -> sim::Task<void> {
+    std::byte b{0x42};
+    if (ctx.rank == 0) {
+      Connection& c1 = ch.connection(1);
+      co_await send_all(ch, c1, msg.data(), kLen);
+      co_await recv_all(ch, c1, &b, 1);
+    } else {
+      Connection& c0 = ch.connection(0);
+      co_await ctx.sim().delay_until(sim::usec(1000));
+      rows.push_back(quiet_row(ch, c0, "recovery pending"));
+      co_await recv_all(ch, c0, got.data(), kLen);
+      // The slot's checksum was charged during the last get and is still
+      // waiting to be flushed at the next call's entry.
+      rows.push_back(quiet_row(ch, c0, "pending CRC charge"));
+      const std::size_t k = co_await ch.get(c0, got.data(), kLen);
+      EXPECT_EQ(k, 0u);
+      rows.push_back(quiet_row(ch, c0, "charge flushed"));
+      co_await send_all(ch, c0, &b, 1);
+    }
+  });
+  ASSERT_TRUE(fleet.all_done());
+  EXPECT_EQ(got, msg);
+  EXPECT_GE(fleet.ch[1]->stats().recoveries, 1u);
+  expect_rows(rows, {{"recovery pending", false},
+                     {"pending CRC charge", false},
+                     {"charge flushed", true}});
+}
+
+TEST(SharedRecvPool, ReleaseZeroesOnlyTheDirtyExtentAndNoFlagSurvives) {
+  constexpr std::size_t kRing = 16 * 1024;
+  const auto is_zero = [](std::byte x) { return x == std::byte{0}; };
+  ib::SharedRecvPool pool;
+  pool.reset(2, kRing);
+  std::byte* a = pool.acquire();
+  ASSERT_NE(a, nullptr);
+  EXPECT_TRUE(std::all_of(a, a + kRing, is_zero));
+  // A tenant that wrote one slot's generation flags near the base.
+  const std::uint32_t gen = 1;
+  std::memcpy(a + 4, &gen, sizeof(gen));
+  std::memcpy(a + 1000, &gen, sizeof(gen));
+  pool.release(a, 2048);
+  std::byte* again = pool.acquire();  // LIFO: the same lease
+  ASSERT_EQ(again, a);
+  EXPECT_TRUE(std::all_of(a, a + kRing, is_zero));
+  // A tenant that wrapped the whole ring reports an extent past its end.
+  std::memset(a, 0xff, kRing);
+  pool.release(a, 10 * kRing);
+  again = pool.acquire();
+  ASSERT_EQ(again, a);
+  EXPECT_TRUE(std::all_of(a, a + kRing, is_zero));
+  EXPECT_EQ(pool.high_water(), 1u);
+}
+
+TEST(QuietVisit, LazyAlltoallAllreduceUnderTightBudgetKeepsItsTrace) {
+  // 16 ranks over MPI, lazy connect, qp_budget 4 (alltoall thrashes the
+  // connection cache), registration cache off so virtual time cannot
+  // depend on heap addresses.  The end time and connection-plane counters
+  // below were recorded before progress passes had a quiet visit and
+  // reconnects reused ring memory; neither may move them.
+  constexpr int kRanks = 16;
+  constexpr int kPerPeer = 64;
+  constexpr int kDoubles = 1024;
+  sim::Simulator sim;
+  ib::Fabric fabric(sim);
+  pmi::Job job(fabric, kRanks);
+  mpi::RuntimeConfig cfg;
+  cfg.stack.channel.lazy_connect = true;
+  cfg.stack.channel.qp_budget = 4;
+  cfg.stack.channel.use_reg_cache = false;
+  ChannelStats total;
+  sim::Tick end = 0;
+  int verified = 0;
+  job.launch([&](pmi::Context& ctx) -> sim::Task<void> {
+    mpi::Runtime rt(ctx, cfg);
+    co_await rt.init();
+    mpi::Communicator& world = rt.world();
+    const int me = world.rank();
+    std::vector<int> out(kRanks * kPerPeer), in(kRanks * kPerPeer);
+    for (int i = 0; i < kRanks * kPerPeer; ++i) {
+      out[static_cast<std::size_t>(i)] = me * 100000 + i;
+    }
+    co_await world.alltoall(out.data(), kPerPeer, in.data(),
+                            mpi::Datatype::kInt);
+    bool ok = true;
+    for (int src = 0; src < kRanks; ++src) {
+      for (int k = 0; k < kPerPeer; ++k) {
+        ok &= in[static_cast<std::size_t>(src * kPerPeer + k)] ==
+              src * 100000 + me * kPerPeer + k;
+      }
+    }
+    std::vector<double> a(kDoubles, me + 1.0), sum(kDoubles);
+    co_await world.allreduce(a.data(), sum.data(), kDoubles,
+                             mpi::Datatype::kDouble, mpi::Op::kSum);
+    for (const double v : sum) ok &= v == kRanks * (kRanks + 1) / 2.0;
+    verified += ok ? 1 : 0;
+    total.merge(rt.engine().channel().channel_stats());
+    end = std::max(end, ctx.sim().now());
+    co_await rt.finalize();
+  });
+  sim.run();
+  EXPECT_EQ(verified, kRanks);
+  EXPECT_EQ(end, sim::Tick{2'741'384'080});
+  EXPECT_EQ(total.connects_on_demand, 499u);
+  EXPECT_EQ(total.qps_evicted, 438u);
+  EXPECT_EQ(total.qp_thrash, 50u);
 }
 
 }  // namespace
