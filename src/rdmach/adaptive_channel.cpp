@@ -385,6 +385,43 @@ void AdaptiveChannel::post_chunk_read(AdaptiveConnection& c,
                            /*signaled=*/true});
 }
 
+sim::Task<bool> AdaptiveChannel::repull_chunk(
+    AdaptiveConnection& c, const AdaptiveConnection::InRndv& r,
+    AdaptiveConnection::Chunk& ch) {
+  bool refused = false;
+  try {
+    ch.mr = co_await cache_->acquire(ch.dst, ch.len);
+  } catch (const ib::RegistrationError&) {
+    refused = true;  // co_await is illegal in a handler; flag and go
+  }
+  if (refused) {
+    ++stats_.reg_fallbacks;
+    schedule_retry_wakeup();
+    co_return false;
+  }
+  ch.wr = next_wr_id();
+  ch.failed = false;
+  ib::QueuePair* cur =
+      ch.qp >= 0 ? c.aux[static_cast<std::size_t>(ch.qp)] : c.qp;
+  if (cur->in_error() || !cur->port().up()) {
+    // Dead rail: first healthy aux QP, else the fresh main QP (whose
+    // failure, with every rail dead, exhausts the recovery budget).
+    int nq = -1;
+    for (std::size_t i = 0; i < c.aux.size(); ++i) {
+      if (!c.aux[i]->in_error() && c.aux[i]->port().up()) {
+        nq = static_cast<int>(i);
+        break;
+      }
+    }
+    ch.qp = nq;
+  }
+  post_chunk_read(c, r, ch);
+  ++stats_.rndv_read.retries;
+  ++stats_.retransmits;
+  stats_.replayed_bytes += ch.len;
+  co_return true;
+}
+
 std::uint64_t AdaptiveChannel::ahead_depth(const AdaptiveConnection& c) const {
   // The head entry's RTS slot sits at the consume point (depth 0); each
   // later entry contributes the drained gap before it plus its own RTS
@@ -783,7 +820,17 @@ sim::Task<void> AdaptiveChannel::progress_inbound(AdaptiveConnection& c,
     auto& r = c.inq[i];
     const bool use_iovs = i == 0 && r.sink_len == 0 && delivered != nullptr;
     if (r.read) {
-      while (r.issued < r.len) {
+      // Chunks whose re-registration replay was refused go first.
+      bool stalled = false;
+      for (auto& ch : r.chunks) {
+        if (!ch.failed || ch.mr != nullptr) continue;
+        const bool posted = co_await repull_chunk(c, r, ch);
+        if (!posted) {
+          stalled = true;
+          break;
+        }
+      }
+      while (!stalled && r.issued < r.len) {
         const int q = pick_read_qp(c);
         if (q == -2) break;
         Iov piece;
@@ -1070,32 +1117,19 @@ sim::Task<void> AdaptiveChannel::replay(VerbsConnection& conn,
   for (auto& r : c.inq) {
     if (!r.read) continue;
     co_await harvest_chunks(c, r);
+    bool refused = false;
     for (auto& ch : r.chunks) {
       if (!ch.failed) continue;
-      std::byte* dst = ch.dst;
-      const std::size_t m = ch.len;
-      co_await cache_->invalidate(ch.mr);
-      ch.mr = co_await cache_->acquire(dst, m);
-      ch.wr = next_wr_id();
-      ch.failed = false;
-      ib::QueuePair* cur =
-          ch.qp >= 0 ? c.aux[static_cast<std::size_t>(ch.qp)] : c.qp;
-      if (cur->in_error() || !cur->port().up()) {
-        // Dead rail: first healthy aux QP, else the fresh main QP (whose
-        // failure, with every rail dead, exhausts the recovery budget).
-        int nq = -1;
-        for (std::size_t i = 0; i < c.aux.size(); ++i) {
-          if (!c.aux[i]->in_error() && c.aux[i]->port().up()) {
-            nq = static_cast<int>(i);
-            break;
-          }
-        }
-        ch.qp = nq;
+      if (ch.mr != nullptr) {
+        co_await cache_->invalidate(ch.mr);
+        ch.mr = nullptr;
       }
-      post_chunk_read(c, r, ch);
-      ++stats_.rndv_read.retries;
-      ++stats_.retransmits;
-      stats_.replayed_bytes += m;
+      // After a refusal the rest only drop their registrations; the next
+      // get()'s progress_inbound re-pulls them.
+      if (!refused) {
+        const bool posted = co_await repull_chunk(c, r, ch);
+        refused = !posted;
+      }
     }
   }
 

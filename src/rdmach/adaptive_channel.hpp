@@ -133,7 +133,9 @@ class AdaptiveConnection : public SlotConnection {
     std::byte* dst = nullptr;
     ib::MemoryRegion* mr = nullptr;
     bool done = false;
-    bool failed = false;  // error CQE seen; replay re-issues
+    /// Error CQE seen; replay re-issues it.  Still failed with mr null:
+    /// the replay's re-registration was refused, progress_inbound retries.
+    bool failed = false;
   };
   /// One inbound rendezvous.  The front entry's RTS slot sits at the ring
   /// head (kept there, FIFO, until the rendezvous retires); later entries
@@ -340,6 +342,14 @@ class AdaptiveChannel : public PipelineChannel {
   void post_chunk_read(AdaptiveConnection& c,
                        const AdaptiveConnection::InRndv& r,
                        AdaptiveConnection::Chunk& ch);
+  /// Re-pulls failed chunk `ch` of `r` under a fresh destination
+  /// registration, moving it off a dead rail's QP.  False when the
+  /// registration was refused (reg_fallbacks, a retry wakeup): the chunk
+  /// stays failed without a registration, and progress_inbound re-pulls it
+  /// on a later pass.
+  sim::Task<bool> repull_chunk(AdaptiveConnection& c,
+                               const AdaptiveConnection::InRndv& r,
+                               AdaptiveConnection::Chunk& ch);
   /// First usable aux QP riding `rail` (port up, not in error); -1 if none.
   int aux_on_rail(const AdaptiveConnection& c, int rail) const;
   /// Live rail for the next outbound write round, by stripe policy; -1

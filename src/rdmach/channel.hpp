@@ -343,6 +343,11 @@ struct ChannelStats {
   /// every collective round pay a teardown + rendezvous it immediately
   /// undoes.  Nonzero means "raise qp_budget".
   std::uint64_t qp_thrash = 0;
+  /// Lazy control-plane passes that ran as a coroutine (lazy_service):
+  /// mailbox reads, handshake joins, teardowns.  Passes that cannot suspend
+  /// are settled synchronously and not counted -- the host-cost face of
+  /// the lazy plane.
+  std::uint64_t lazy_passes = 0;
   // ---- process-fault detection --------------------------------------------
   /// Obituaries this rank published (peers it convicted as permanently
   /// dead via retry-budget exhaustion or a watchdog trip).
@@ -415,6 +420,7 @@ inline constexpr StatField kChannelStatFields[] = {
     {"resident_bytes", &ChannelStats::resident_bytes, StatKind::kSumGauge},
     {"qps_live", &ChannelStats::qps_live, StatKind::kSumGauge},
     {"qp_thrash", &ChannelStats::qp_thrash, StatKind::kCounter},
+    {"lazy_passes", &ChannelStats::lazy_passes, StatKind::kCounter},
     {"obits_posted", &ChannelStats::obits_posted, StatKind::kCounter},
     {"obit_fast_fails", &ChannelStats::obit_fast_fails, StatKind::kCounter},
     {"rma_puts", &ChannelStats::rma_puts, StatKind::kCounter},

@@ -119,7 +119,7 @@ void PiggybackChannel::consume_slot(SlotConnection& c) {
   ++c.slots_consumed;
   c.cur_slot_off = 0;
   c.ctrl.tail_master = c.slots_consumed;
-  ++c.consumed_since_update;
+  if (++c.consumed_since_update == 1) lz_owe(c);
   // Delayed explicit update: only when enough slots were freed with no
   // reverse-direction traffic to piggyback on.  Several consumed slots
   // collapse into this single 8-byte write.

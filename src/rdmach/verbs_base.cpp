@@ -6,6 +6,7 @@
 #include <cstring>
 #include <stdexcept>
 #include <string>
+#include <utility>
 
 #include "rdmach/crc32c.hpp"
 #include "sim/fault.hpp"
@@ -787,7 +788,9 @@ sim::Task<void> VerbsChannelBase::lazy_evict_extra(VerbsConnection&) {
 }
 
 sim::Task<void> VerbsChannelBase::pre_progress() {
-  if (cfg_.lazy_connect && !lazy_idle()) co_await lazy_service();
+  if (!cfg_.lazy_connect) co_return;
+  lz_pass_handed_ = -1;
+  if (!lazy_try_settle()) co_await lazy_service();
 }
 
 void VerbsChannelBase::lz_post_mail(VerbsConnection& c,
@@ -1018,20 +1021,8 @@ sim::Task<void> VerbsChannelBase::lazy_teardown(VerbsConnection& c) {
   --stats_.qps_live;
 }
 
-sim::Task<void> VerbsChannelBase::lazy_maybe_evict() {
-  if (lz_evict_peer_ >= 0) co_return;
-  const bool over_budget =
-      cfg_.qp_budget > 0 &&
-      stats_.qps_live > static_cast<std::uint64_t>(cfg_.qp_budget);
-  // Shared-pool pressure: a requested-but-cold peer is stalled waiting for
-  // a receive-ring lease.  Evicting an idle lease-holder is the only way
-  // it can ever wire, so pool exhaustion degrades to backpressure (the
-  // stalled side retries on its wakeup) instead of deadlock, even when the
-  // QP budget itself is not exceeded.
-  const bool pool_pressure = srq_pool_.configured() &&
-                             srq_pool_.free_rings() == 0 &&
-                             !lz_pending_.empty();
-  if (!over_budget && !pool_pressure) co_return;
+void VerbsChannelBase::lazy_maybe_evict(bool over_budget) {
+  if (lz_evict_peer_ >= 0) return;
   // LRU scan over the wired set (bounded by qp_budget + 1 entries, never
   // the rank dimension).  A connection with outstanding journal state, a
   // recovery in flight, or a design veto (open rendezvous) is pinned.
@@ -1050,7 +1041,7 @@ sim::Task<void> VerbsChannelBase::lazy_maybe_evict() {
       victim = &c;
     }
   }
-  if (victim == nullptr) co_return;  // soft budget: nothing evictable now
+  if (victim == nullptr) return;  // soft budget: nothing evictable now
   VerbsConnection& v = *victim;
   v.boot = VerbsConnection::Boot::kEvictWait;
   v.rec.attempts = 0;
@@ -1138,6 +1129,7 @@ sim::Task<void> VerbsChannelBase::lz_handle_mail(pmi::LazyMail msg) {
 sim::Task<void> VerbsChannelBase::lazy_service() {
   if (lz_service_busy_) co_return;
   lz_service_busy_ = true;
+  ++stats_.lazy_passes;
   std::exception_ptr err;
   try {
     const std::vector<pmi::LazyMail>& box = *lz_box_;
@@ -1146,32 +1138,96 @@ sim::Task<void> VerbsChannelBase::lazy_service() {
       ++lz_mail_cursor_;
       co_await lz_handle_mail(msg);
     }
-    if (!lz_pending_.empty()) {
-      const std::vector<int> pending = lz_pending_;
-      for (int p : pending) {
-        co_await lazy_advance(*conns_[static_cast<std::size_t>(p)]);
+    // Every peer pending at the start, in order.  A pass only ever removes
+    // the peer it advances, or appends peers (a put() initiating while
+    // this pass is suspended), which the next pass drives.
+    for (std::size_t i = 0, n = lz_pending_.size(); i < n;) {
+      const int p = lz_pending_[i];
+      co_await lazy_advance(*conns_[static_cast<std::size_t>(p)]);
+      if (i < lz_pending_.size() && lz_pending_[i] == p) {
+        ++i;
+      } else {
+        --n;
       }
     }
-    // Under cache pressure, flush deferred consumption acks on every wired
-    // connection.  A deferred ack pins the peer's journal: at scale the
-    // pressure is symmetric (both sides over budget), so flushing here is
-    // what lets peers retire their half of idle connections -- and their
-    // flushes unpin ours.
-    if ((cfg_.qp_budget > 0 &&
-         stats_.qps_live > static_cast<std::uint64_t>(cfg_.qp_budget)) ||
-        (srq_pool_.configured() && srq_pool_.free_rings() == 0 &&
-         !lz_pending_.empty())) {
-      for (int p : active_) {
-        VerbsConnection& c = *conns_[static_cast<std::size_t>(p)];
-        if (c.boot == VerbsConnection::Boot::kReady) lazy_flush_acks(c);
-      }
-    }
-    co_await lazy_maybe_evict();
+    lazy_relieve();
   } catch (...) {
     err = std::current_exception();
   }
   lz_service_busy_ = false;
   if (err) std::rethrow_exception(err);
+}
+
+bool VerbsChannelBase::lazy_sync_ok() const {
+  if (lz_mail_cursor_ != lz_box_->size()) return false;
+  const pmi::Kvs& kvs = *ctx_->kvs;
+  const bool pool_dry = srq_pool_.configured() && srq_pool_.free_rings() == 0;
+  for (const int p : lz_pending_) {
+    const VerbsConnection& c = *conns_[static_cast<std::size_t>(p)];
+    // lazy_advance's outcomes that neither suspend nor wire anything.
+    if (c.boot != VerbsConnection::Boot::kRequested ||
+        kvs.pair_dead(c.peer, rank())) {
+      continue;
+    }
+    if (!c.lz_local_ready) {
+      if (pool_dry) continue;
+      return false;  // lazy_setup_local registers memory
+    }
+    if (kvs.find_card(c.peer, rank(), c.lz_gen) == nullptr) continue;
+    if (rank() > c.peer && !c.qp->connected()) continue;
+    return false;  // the join
+  }
+  return true;
+}
+
+void VerbsChannelBase::lazy_settle() {
+  const pmi::Kvs& kvs = *ctx_->kvs;
+  for (std::size_t i = 0; i < lz_pending_.size();) {
+    VerbsConnection& c = *conns_[static_cast<std::size_t>(lz_pending_[i])];
+    if (c.boot == VerbsConnection::Boot::kRequested) {
+      if (kvs.pair_dead(c.peer, rank())) {
+        c.rec.dead = true;  // as lazy_advance: surfaces at the next put/get
+        lz_unpend(c.peer);
+        continue;
+      }
+      if (!c.lz_local_ready) {
+        // lazy_setup_local's exhausted-pool answer.
+        ++stats_.credit_stalls;
+        schedule_retry_wakeup();
+      }
+    }
+    ++i;
+  }
+  lazy_relieve();
+}
+
+void VerbsChannelBase::lazy_relieve() {
+  const bool over_budget =
+      cfg_.qp_budget > 0 &&
+      stats_.qps_live > static_cast<std::uint64_t>(cfg_.qp_budget);
+  // Shared-pool pressure: a requested-but-cold peer is stalled waiting for
+  // a receive-ring lease.  Evicting an idle lease-holder is the only way
+  // it can ever wire, so pool exhaustion degrades to backpressure (the
+  // stalled side retries on its wakeup) instead of deadlock, even when the
+  // QP budget itself is not exceeded.
+  const bool pool_pressure = srq_pool_.configured() &&
+                             srq_pool_.free_rings() == 0 &&
+                             !lz_pending_.empty();
+  if (!over_budget && !pool_pressure) return;
+  // Flush deferred consumption acks.  A deferred ack pins the peer's
+  // journal: at scale the pressure is symmetric (both sides over budget),
+  // so flushing here is what lets peers retire their half of idle
+  // connections -- and their flushes unpin ours.  A flushed peer owes
+  // nothing; one in kEvictWait may owe again if the eviction is refused;
+  // a torn-down one restarted its journal.
+  std::size_t kept = 0;
+  for (const int p : lz_owed_) {
+    VerbsConnection& c = *conns_[static_cast<std::size_t>(p)];
+    if (c.boot == VerbsConnection::Boot::kReady) lazy_flush_acks(c);
+    if (c.boot == VerbsConnection::Boot::kEvictWait) lz_owed_[kept++] = p;
+  }
+  lz_owed_.resize(kept);
+  lazy_maybe_evict(over_budget);
 }
 
 namespace {
@@ -1184,11 +1240,22 @@ struct [[nodiscard]] EvictShield {
 };
 }  // namespace
 
+bool VerbsChannelBase::lazy_rx_settled(VerbsConnection& c) {
+  if (lz_pass_handed_ == c.peer) return false;  // get() after a false answer
+  if (!lazy_idle()) {
+    EvictShield shield(lz_protect_, c.peer);
+    if (!lazy_try_settle()) return false;  // get() runs the coroutine pass
+    lz_pass_handed_ = c.peer;
+  }
+  return lazy_wired(c);
+}
+
 sim::Task<bool> VerbsChannelBase::ensure_tx(VerbsConnection& c) {
   if (!cfg_.lazy_connect) co_return true;
   using Boot = VerbsConnection::Boot;
   EvictShield shield(lz_protect_, c.peer);
-  if (!lazy_idle()) co_await lazy_service();
+  lz_pass_handed_ = -1;
+  if (!lazy_try_settle()) co_await lazy_service();
   if (c.boot == Boot::kReady) {
     lz_touch(c);
     co_return true;
@@ -1227,7 +1294,8 @@ sim::Task<bool> VerbsChannelBase::ensure_rx(VerbsConnection& c) {
   if (!cfg_.lazy_connect) co_return true;
   using Boot = VerbsConnection::Boot;
   EvictShield shield(lz_protect_, c.peer);
-  if (!lazy_idle()) co_await lazy_service();
+  const bool handed = std::exchange(lz_pass_handed_, -1) == c.peer;
+  if (!handed && !lazy_try_settle()) co_await lazy_service();
   if (c.boot == Boot::kReady || c.boot == Boot::kEvictWait) {
     lz_touch(c);
     co_return true;

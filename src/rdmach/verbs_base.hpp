@@ -20,6 +20,7 @@
 // which put/get raise ChannelError instead of hanging.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -530,14 +531,15 @@ class VerbsChannelBase : public Channel {
   }
 
   /// The part of rx_quiet every design shares: ensure_rx + maybe_recover
-  /// on a wired connection with nothing to service -- lazy control plane
-  /// idle and `c` wired, then drain_cq, then no dead / pair-dead /
-  /// obituary / failed / NACK / peer-epoch condition -- followed by the
-  /// design's own `idle` check.  Only a quiet connection is LRU-touched, so
-  /// a false answer leaves ensure_rx's touch to the get() that follows.
+  /// on a wired connection with nothing to service -- the lazy pass
+  /// settled synchronously (lazy_rx_settled) and `c` wired, then drain_cq,
+  /// then no dead / pair-dead / obituary / failed / NACK / peer-epoch
+  /// condition -- followed by the design's own `idle` check.  Only a quiet
+  /// connection is LRU-touched, so a false answer leaves ensure_rx's touch
+  /// to the get() that follows.
   template <class Idle>
   bool rx_quiet_if(VerbsConnection& c, Idle idle) {
-    if (cfg_.lazy_connect && (!lazy_idle() || !lazy_wired(c))) return false;
+    if (cfg_.lazy_connect && !lazy_rx_settled(c)) return false;
     drain_cq();
     if (c.rec.dead || c.rec.failed || c.integrity_failed ||
         ctx_->kvs->pair_dead(c.peer, rank()) ||
@@ -545,8 +547,19 @@ class VerbsChannelBase : public Channel {
         !idle()) {
       return false;
     }
-    if (cfg_.lazy_connect) lz_touch(c);
+    if (cfg_.lazy_connect) {
+      lz_touch(c);
+      lz_pass_handed_ = -1;  // no get() follows a quiet answer
+    }
     return true;
+  }
+  /// Notes that `c`'s receive path consumed a slot whose tail ack may be
+  /// deferred: the cache-pressure sweep (lazy_flush_acks) visits only
+  /// peers noted here.  No-op with lazy_connect off.
+  void lz_owe(const VerbsConnection& c) {
+    if (!cfg_.lazy_connect) return;
+    auto it = std::lower_bound(lz_owed_.begin(), lz_owed_.end(), c.peer);
+    if (it == lz_owed_.end() || *it != c.peer) lz_owed_.insert(it, c.peer);
   }
 
   // ---- end-to-end integrity ----------------------------------------------
@@ -618,9 +631,40 @@ class VerbsChannelBase : public Channel {
 
   // ---- lazy connect internals ---------------------------------------------
   /// One pass of the lazy control plane: drains the handshake mailbox,
-  /// drives pending joins, then enforces qp_budget.  Reentrancy-guarded --
-  /// every put/get/progress pass calls it.
+  /// drives pending joins, then relieves cache pressure (lazy_relieve).
+  /// Reentrancy-guarded -- every put/get/progress pass calls it, through
+  /// lazy_try_settle first.
   sim::Task<void> lazy_service();
+  /// Whether a lazy_service pass would run to the end without suspending:
+  /// the mailbox is read, and every kRequested peer is pair-dead, stalled
+  /// on an exhausted receive pool, missing the peer's endpoint card, or the
+  /// higher rank waiting for the lower one to connect the QP.
+  bool lazy_sync_ok() const;
+  /// That pass, done synchronously (requires lazy_sync_ok()): pair-dead
+  /// peers leave lz_pending_, each pool-stalled peer counts a credit stall
+  /// and schedules a retry wakeup (in lz_pending_ order), then
+  /// lazy_relieve -- lazy_service's effects in its order.  (The peer card
+  /// lazy_advance copies as soon as it is posted is copied again by the
+  /// join, the first pass that uses it.)
+  void lazy_settle();
+  /// The gate in front of every lazy pass: nothing when the plane is idle
+  /// or a pass is already running, lazy_settle when the pass cannot
+  /// suspend.  False: the caller must co_await lazy_service().
+  bool lazy_try_settle() {
+    if (lazy_idle() || lz_service_busy_) return true;
+    if (!lazy_sync_ok()) return false;
+    lazy_settle();
+    return true;
+  }
+  /// rx_quiet's share of ensure_rx: settles a busy lazy plane under the
+  /// same eviction shield, then asks whether `c` is wired.  A settled pass
+  /// is handed to the get() that follows a false answer (lz_pass_handed_),
+  /// so a visit runs one lazy pass, as get() alone does.
+  bool lazy_rx_settled(VerbsConnection& c);
+  /// Under cache pressure (wired set over qp_budget, or the receive pool
+  /// exhausted with a handshake waiting on it): flushes deferred tail acks
+  /// of the peers in lz_owed_, ascending, then lazy_maybe_evict.
+  void lazy_relieve();
   /// Whether a lazy_service pass would find nothing to do: no unread mail,
   /// no handshake in flight, and the wired set within qp_budget (pool
   /// pressure needs a pending handshake too).  The per-put/get gates skip
@@ -646,9 +690,10 @@ class VerbsChannelBase : public Channel {
   /// Keeps a torn-down ring-sized buffer for reuse; its tenant wrote at
   /// most the first `dirty` bytes.
   void give_ring(ib::ZeroPages mem, std::size_t dirty);
-  /// Starts one LRU eviction handshake when the wired set exceeds
-  /// qp_budget and a fully-drained victim exists.
-  sim::Task<void> lazy_maybe_evict();
+  /// Starts one LRU eviction handshake of a fully-drained victim; under
+  /// pool pressure alone (`over_budget` false) only a pooled-ring holder
+  /// qualifies.
+  void lazy_maybe_evict(bool over_budget);
   /// Connect / evict-wait retry pacing against the shared attempt budget;
   /// throws ChannelError::kDead when it runs out (publishing the dead
   /// marker first, like recovery budget exhaustion).
@@ -700,6 +745,13 @@ class VerbsChannelBase : public Channel {
   std::vector<int> active_;
   /// Peers mid-handshake (kRequested); each service pass re-drives them.
   std::vector<int> lz_pending_;
+  /// Peers that may owe a deferred tail ack (lz_owe), ascending; a
+  /// superset, pruned by each pressure sweep.
+  std::vector<int> lz_owed_;
+  /// Peer whose progress visit already ran its lazy pass in rx_quiet (which
+  /// then answered false), or -1: the ensure_rx of the get() that follows
+  /// skips its pass, as call_overhead skips a waived charge.
+  int lz_pass_handed_ = -1;
   /// This rank's lazy-connect mailbox on the KVS, and how far it is read.
   const std::vector<pmi::LazyMail>* lz_box_ = nullptr;
   std::size_t lz_mail_cursor_ = 0;

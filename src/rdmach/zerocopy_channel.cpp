@@ -315,7 +315,21 @@ sim::Task<void> ZeroCopyChannel::replay(VerbsConnection& conn,
     std::byte* dst = c.r_read_dst;
     const std::size_t m = c.r_read_len;
     co_await cache_->invalidate(c.r_dst_mr);
-    c.r_dst_mr = co_await cache_->acquire(dst, m);
+    c.r_dst_mr = nullptr;
+    bool refused = false;
+    try {
+      c.r_dst_mr = co_await cache_->acquire(dst, m);
+    } catch (const ib::RegistrationError&) {
+      refused = true;  // co_await is illegal in a handler; flag and go
+    }
+    if (refused) {
+      // The same degradation as issue_read's: nothing is in flight any
+      // more, and a later get() re-issues the read from r_done.
+      c.r_read_inflight = false;
+      ++stats_.reg_fallbacks;
+      schedule_retry_wakeup();
+      co_return;
+    }
     c.r_read_wr = next_wr_id();
     ++stats_.retransmits;
     stats_.replayed_bytes += m;

@@ -223,6 +223,30 @@ TEST(NasFaultCampaign, CgClassAStandardMixVerifiedAndBounded) {
   expect_bounded("cg");
 }
 
+TEST(NasFaultCampaign, BtCorruptExhaustWithoutRegCacheCompletes) {
+  // The nas_fault bench's BT A/4 corrupt+exhaust run with the registration
+  // cache off: every rendezvous read registers its destination, so the
+  // re-registration recovery replay makes for a read the QP failure
+  // interrupted meets the exhaustion window too.  A refusal there must
+  // degrade like the first issue does (reg_fallbacks, a retry wakeup, the
+  // read re-issued by a later get) instead of escaping the rank as
+  // ib::RegistrationError.
+  mpi::RuntimeConfig cfg =
+      benchutil::campaign_config(rdmach::Design::kZeroCopy);
+  cfg.stack.channel.use_reg_cache = false;
+  sim::FaultCampaign campaign(/*seed=*/2026);
+  benchutil::mix_corrupt_exhaust(campaign, benchutil::phase_of("bt"), 4);
+  const benchutil::CampaignOutcome r = benchutil::run_nas_campaign(
+      "bt", 4, nas::Class::A, cfg, &campaign, benchutil::two_rail_fabric());
+  ASSERT_FALSE(r.wedged) << benchutil::wedge_reason(r);
+  ASSERT_TRUE(r.completed);
+  EXPECT_EQ(r.errors, 0) << (r.error_whats.empty() ? ""
+                                                   : r.error_whats.front());
+  EXPECT_TRUE(r.result.verified) << r.result.detail;
+  EXPECT_GE(r.stats.reg_fallbacks, 1u);
+  EXPECT_GE(r.stats.recoveries, 1u);
+}
+
 // ---------------------------------------------------------------------------
 // Randomized campaign soak: never wedged, never silently wrong
 // ---------------------------------------------------------------------------

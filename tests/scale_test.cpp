@@ -81,6 +81,14 @@ struct Fleet {
       }
     });
     sim.run_until(kDeadline);
+    // A rank killed by anything but a ChannelError stops run_until
+    // silently; fail with its message instead of reading as !all_done().
+    // Ranks merely blocked when the queue drained (a bystander parked in
+    // the finalize barrier of dead peers) stay a !all_done() outcome.
+    try {
+      sim.raise_if_stuck();
+    } catch (const sim::DeadlockError&) {
+    }
   }
 
   bool all_done() const {
@@ -812,6 +820,79 @@ TEST(QuietVisit, TruthTableOnALazyZeroCopyConnection) {
                      {"drained", true}});
 }
 
+TEST(QuietVisit, TruthTableOnAStalledLazyPlane) {
+  // Rank 1's two-ring receive pool is leased to rank 0 and to its own
+  // half-built connect toward rank 3 (which sleeps on its mailbox), so the
+  // connect request rank 2 mails at 500 us stalls on the exhausted pool.
+  // Rank 1 watches its idle connection to rank 0 while the plane is
+  // stalled: such a pass cannot suspend, so the visit settles it (one
+  // credit stall per stalled peer) and may still be quiet.
+  constexpr std::size_t kSmall = 100;
+  ChannelConfig cfg;
+  cfg.lazy_connect = true;
+  cfg.srq_pool_rings = 2;
+  Fleet fleet(4, cfg);
+  std::vector<QuietRow> rows;
+  std::vector<std::uint64_t> stalls;  // credit stalls each row step added
+  const std::vector<std::byte> small = pattern(kSmall, 4);
+  fleet.run([&](pmi::Context& ctx, Channel& ch) -> sim::Task<void> {
+    sim::Simulator& sim = ctx.sim();
+    std::vector<std::byte> buf(kSmall);
+    const auto credit_stalls = [&] { return ch.stats().credit_stalls; };
+    if (ctx.rank == 0) {
+      Connection& c1 = ch.connection(1);
+      co_await send_all(ch, c1, small.data(), kSmall);
+      co_await sim.delay_until(sim::usec(1500));
+      co_await send_all(ch, c1, small.data(), kSmall);  // ready slot
+    } else if (ctx.rank == 1) {
+      Connection& c0 = ch.connection(0);
+      co_await recv_all(ch, c0, buf.data(), kSmall);
+      // Initiate toward rank 3: the local half leases the second ring.
+      const std::size_t k = co_await ch.put(ch.connection(3), small.data(),
+                                            kSmall);
+      EXPECT_EQ(k, 0u);
+      co_await sim.delay_until(sim::usec(700));
+      rows.push_back(quiet_row(ch, c0, "unread lazy mail"));
+      // The get's pass reads rank 2's request and stalls on the pool.
+      std::uint64_t before = credit_stalls();
+      std::size_t got = co_await ch.get(c0, buf.data(), kSmall);
+      EXPECT_EQ(got, 0u);
+      EXPECT_GT(credit_stalls(), before);
+      before = credit_stalls();
+      rows.push_back(quiet_row(ch, c0, "stalled, idle wired"));
+      stalls.push_back(credit_stalls() - before);
+      co_await sim.delay_until(sim::usec(1600));
+      // A false answer hands its pass to the get() that follows.
+      before = credit_stalls();
+      rows.push_back(quiet_row(ch, c0, "stalled, ready slot"));
+      got = co_await ch.get(c0, buf.data(), kSmall);
+      EXPECT_EQ(got, kSmall);
+      stalls.push_back(credit_stalls() - before);
+      co_await sim.delay_until(sim::usec(2500));  // rank 3 posted its card
+      rows.push_back(quiet_row(ch, c0, "peer card arrived"));
+      co_await send_all(ch, ch.connection(3), small.data(), kSmall);
+      co_await recv_all(ch, ch.connection(2), buf.data(), kSmall);
+      EXPECT_EQ(buf, small);
+    } else if (ctx.rank == 2) {
+      co_await sim.delay_until(sim::usec(500));
+      co_await send_all(ch, ch.connection(1), small.data(), kSmall);
+    } else {
+      co_await sim.delay_until(sim::usec(2000));
+      co_await recv_all(ch, ch.connection(1), buf.data(), kSmall);
+      EXPECT_EQ(buf, small);
+    }
+  });
+  ASSERT_TRUE(fleet.all_done());
+  expect_rows(rows, {{"unread lazy mail", false},
+                     {"stalled, idle wired", true},
+                     {"stalled, ready slot", false},
+                     {"peer card arrived", false}});
+  // One stalled peer (rank 2): one credit stall per visit, whether the
+  // visit ends quiet or falls through to get().
+  EXPECT_EQ(stalls, (std::vector<std::uint64_t>{1, 1}));
+  EXPECT_GE(fleet.ch[1]->stats().qps_evicted, 1u);  // a lease was recycled
+}
+
 TEST(QuietVisit, RecoveryPendingAndCrcChargeAreNotQuiet) {
   // Integrity on; rank 0's first slot write is killed.  Rank 1 sleeps
   // while rank 0 notices and posts its half of the re-handshake.
@@ -877,12 +958,19 @@ TEST(SharedRecvPool, ReleaseZeroesOnlyTheDirtyExtentAndNoFlagSurvives) {
   EXPECT_EQ(pool.high_water(), 1u);
 }
 
-TEST(QuietVisit, LazyAlltoallAllreduceUnderTightBudgetKeepsItsTrace) {
-  // 16 ranks over MPI, lazy connect, qp_budget 4 (alltoall thrashes the
-  // connection cache), registration cache off so virtual time cannot
-  // depend on heap addresses.  The end time and connection-plane counters
-  // below were recorded before progress passes had a quiet visit and
-  // reconnects reused ring memory; neither may move them.
+/// What a 16-rank lazy-connect alltoall + allreduce leaves behind: its end
+/// time and the connection-plane counters summed over every rank.
+struct LazyCollTrace {
+  sim::Tick end = 0;
+  int verified = 0;
+  ChannelStats total;
+};
+
+/// 16 ranks over MPI, lazy connect under `qp_budget` (alltoall thrashes the
+/// connection cache) and an optional shared receive pool, registration
+/// cache off so virtual time cannot depend on heap addresses.
+LazyCollTrace run_lazy_alltoall_allreduce(int qp_budget,
+                                          std::size_t srq_pool_rings) {
   constexpr int kRanks = 16;
   constexpr int kPerPeer = 64;
   constexpr int kDoubles = 1024;
@@ -891,11 +979,10 @@ TEST(QuietVisit, LazyAlltoallAllreduceUnderTightBudgetKeepsItsTrace) {
   pmi::Job job(fabric, kRanks);
   mpi::RuntimeConfig cfg;
   cfg.stack.channel.lazy_connect = true;
-  cfg.stack.channel.qp_budget = 4;
+  cfg.stack.channel.qp_budget = qp_budget;
+  cfg.stack.channel.srq_pool_rings = srq_pool_rings;
   cfg.stack.channel.use_reg_cache = false;
-  ChannelStats total;
-  sim::Tick end = 0;
-  int verified = 0;
+  LazyCollTrace t;
   job.launch([&](pmi::Context& ctx) -> sim::Task<void> {
     mpi::Runtime rt(ctx, cfg);
     co_await rt.init();
@@ -918,17 +1005,42 @@ TEST(QuietVisit, LazyAlltoallAllreduceUnderTightBudgetKeepsItsTrace) {
     co_await world.allreduce(a.data(), sum.data(), kDoubles,
                              mpi::Datatype::kDouble, mpi::Op::kSum);
     for (const double v : sum) ok &= v == kRanks * (kRanks + 1) / 2.0;
-    verified += ok ? 1 : 0;
-    total.merge(rt.engine().channel().channel_stats());
-    end = std::max(end, ctx.sim().now());
+    t.verified += ok ? 1 : 0;
+    t.total.merge(rt.engine().channel().channel_stats());
+    t.end = std::max(t.end, ctx.sim().now());
     co_await rt.finalize();
   });
   sim.run();
-  EXPECT_EQ(verified, kRanks);
-  EXPECT_EQ(end, sim::Tick{2'741'384'080});
-  EXPECT_EQ(total.connects_on_demand, 499u);
-  EXPECT_EQ(total.qps_evicted, 438u);
-  EXPECT_EQ(total.qp_thrash, 50u);
+  EXPECT_EQ(t.verified, kRanks);
+  return t;
+}
+
+TEST(QuietVisit, LazyAlltoallAllreduceUnderTightBudgetKeepsItsTrace) {
+  // qp_budget 4, dedicated rings.  The end time and connection-plane
+  // counters below were recorded before progress passes had a quiet visit
+  // and reconnects reused ring memory; neither may move them.
+  const LazyCollTrace t = run_lazy_alltoall_allreduce(4, 0);
+  EXPECT_EQ(t.end, sim::Tick{2'741'384'080});
+  EXPECT_EQ(t.total.connects_on_demand, 499u);
+  EXPECT_EQ(t.total.qps_evicted, 438u);
+  EXPECT_EQ(t.total.qp_thrash, 50u);
+}
+
+TEST(QuietVisit, PoolStalledLazyPlaneSettlesWithoutPassesAndKeepsItsTrace) {
+  // qp_budget 4 and a 4-ring shared receive pool: handshakes keep
+  // stalling on the exhausted pool.  The end time and counters were
+  // recorded from the code before such stalls were settled without a
+  // coroutine pass; settling them synchronously may not move them.
+  const LazyCollTrace t = run_lazy_alltoall_allreduce(4, 4);
+  EXPECT_EQ(t.end, sim::Tick{2'373'586'579});
+  EXPECT_EQ(t.total.connects_on_demand, 509u);
+  EXPECT_EQ(t.total.qps_evicted, 463u);
+  EXPECT_EQ(t.total.qp_thrash, 48u);
+  EXPECT_EQ(t.total.credit_stalls, 13'277u);
+  EXPECT_GT(t.total.credit_stalls, 0u);
+  // Nearly every stall is now settled outside a coroutine pass.
+  EXPECT_LT(t.total.lazy_passes * 10, t.total.credit_stalls)
+      << t.total.lazy_passes << " passes";
 }
 
 }  // namespace
